@@ -202,26 +202,36 @@ func (b *Buffer) Snapshot() []Event {
 }
 
 // DrainPID downloads and removes only the events of one process,
-// leaving other processes' events buffered.
+// leaving other processes' events buffered in chronological order. The
+// ring is compacted in place; only the returned slice is allocated
+// (nil when the process has no buffered events).
 func (b *Buffer) DrainPID(pid int) []Event {
-	all := b.Drain()
-	var mine, rest []Event
-	for _, e := range all {
+	start := b.head - b.count
+	if start < 0 {
+		start += len(b.ring)
+	}
+	n := 0
+	for i := 0; i < b.count; i++ {
+		if b.ring[(start+i)%len(b.ring)].PID == pid {
+			n++
+		}
+	}
+	if n == 0 {
+		return nil
+	}
+	mine := make([]Event, 0, n)
+	kept := 0
+	for i := 0; i < b.count; i++ {
+		e := b.ring[(start+i)%len(b.ring)]
 		if e.PID == pid {
 			mine = append(mine, e)
-		} else {
-			rest = append(rest, e)
+			continue
 		}
+		b.ring[(start+kept)%len(b.ring)] = e // kept <= i: never overwrites an unread event
+		kept++
 	}
-	for _, e := range rest {
-		b.ring[b.head] = e
-		b.head = (b.head + 1) % len(b.ring)
-		if b.count < len(b.ring) {
-			b.count++
-		} else {
-			b.dropped++
-		}
-	}
+	b.count = kept
+	b.head = (start + kept) % len(b.ring)
 	return mine
 }
 

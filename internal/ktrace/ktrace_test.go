@@ -1,6 +1,7 @@
 package ktrace
 
 import (
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -187,8 +188,38 @@ func TestInvalidCapacityPanics(t *testing.T) {
 	NewBuffer(QTrace, 0)
 }
 
+// drainPIDByCopy is the copying DrainPID the in-place compaction
+// replaced: drain the whole ring, split it, and re-record the other
+// processes' events. Kept as the reference the compaction must match.
+func drainPIDByCopy(b *Buffer, pid int) []Event {
+	all := b.Drain()
+	var mine, rest []Event
+	for _, e := range all {
+		if e.PID == pid {
+			mine = append(mine, e)
+		} else {
+			rest = append(rest, e)
+		}
+	}
+	for _, e := range rest {
+		b.ring[b.head] = e
+		b.head = (b.head + 1) % len(b.ring)
+		if b.count < len(b.ring) {
+			b.count++
+		} else {
+			b.dropped++
+		}
+	}
+	return mine
+}
+
+// TestQuickDrainPreservesChronology checks that draining keeps events
+// in order on wrapped and full rings, and that DrainPID matches the
+// copying reference exactly: the returned events, and afterwards the
+// Snapshot, Len and Dropped of a ring that keeps recording and
+// draining.
 func TestQuickDrainPreservesChronology(t *testing.T) {
-	check := func(capSeed, n uint8) bool {
+	check := func(capSeed, n uint8, pids []uint8) bool {
 		capacity := int(capSeed%63) + 1
 		b := NewBuffer(QTrace, capacity)
 		for i := 0; i < int(n); i++ {
@@ -204,9 +235,37 @@ func TestQuickDrainPreservesChronology(t *testing.T) {
 		if wantLen > capacity {
 			wantLen = capacity
 		}
-		return len(events) == wantLen
+		if len(events) != wantLen {
+			return false
+		}
+
+		got, ref := NewBuffer(QTrace, capacity), NewBuffer(QTrace, capacity)
+		at := simtime.Time(0)
+		for round, p := range pids {
+			// Record a burst across PIDs 0-3 (wrapping the ring when
+			// the burst outgrows it), then drain one PID from each.
+			for k := 0; k < int(p%32); k++ {
+				at++
+				pid := (int(p) + k*k) % 4
+				got.Syscall(at, pid, 1)
+				ref.Syscall(at, pid, 1)
+			}
+			pid := round % 4
+			if !reflect.DeepEqual(got.DrainPID(pid), drainPIDByCopy(ref, pid)) ||
+				!reflect.DeepEqual(got.Snapshot(), ref.Snapshot()) ||
+				got.Len() != ref.Len() || got.Dropped() != ref.Dropped() {
+				return false
+			}
+			rest := got.Snapshot()
+			for i, e := range rest {
+				if e.PID == pid || (i > 0 && e.At <= rest[i-1].At) {
+					return false
+				}
+			}
+		}
+		return true
 	}
-	if err := quick.Check(check, &quick.Config{MaxCount: 200}); err != nil {
+	if err := quick.Check(check, &quick.Config{MaxCount: 500}); err != nil {
 		t.Error(err)
 	}
 }

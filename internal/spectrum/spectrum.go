@@ -9,12 +9,23 @@
 // (event, frequency bin) pair — Equation (3) of the paper. The
 // implementation counts those operations so the complexity claims can
 // be tested, not just trusted.
+//
+// Compute, Incremental and Window share one bin-major kernel: each bin
+// folds a batch's added events and then its removed events, each in
+// order, so every bin sees the same floating-point operations as
+// folding the events one at a time, and results are bit-identical
+// however a batch is split. Incremental and Window shard large batches
+// by bin range across the idle cores of workpool.Shared; small batches
+// and Compute run inline. ComputeFast is the one variant that rounds
+// differently (an ablation).
 package spectrum
 
 import (
 	"math"
+	"slices"
 
 	"repro/internal/simtime"
+	"repro/internal/workpool"
 )
 
 // Band describes the analysed frequency range: [FMin, FMax] sampled
@@ -67,33 +78,15 @@ type Spectrum struct {
 }
 
 // Compute evaluates the amplitude spectrum of the given event train
-// over the band, exactly as Eq. (4): |S(ω)| = |Σ_i e^{-jω t_i}|.
+// over the band, exactly as Eq. (4): |S(ω)| = |Σ_i e^{-jω t_i}|. It
+// runs the analyser's bin-major kernel on the calling goroutine alone,
+// so the figure experiments time Eq. (3)'s sequential cost.
 func Compute(events []simtime.Time, band Band) *Spectrum {
-	if !band.Valid() {
-		panic("spectrum: invalid band")
-	}
-	n := band.Bins()
-	re := make([]float64, n)
-	im := make([]float64, n)
-	for _, t := range events {
-		ts := t.Seconds()
-		for i := 0; i < n; i++ {
-			w := 2 * math.Pi * band.Freq(i)
-			s, c := math.Sincos(w * ts)
-			re[i] += c
-			im[i] -= s
-		}
-	}
-	amp := make([]float64, n)
-	for i := range amp {
-		amp[i] = math.Hypot(re[i], im[i])
-	}
-	return &Spectrum{
-		Band:   band,
-		Amp:    amp,
-		Events: len(events),
-		Ops:    int64(len(events)) * int64(n),
-	}
+	inc := NewIncremental(band)
+	inc.stage(events, nil)
+	inc.foldBins(0, len(inc.re))
+	inc.events, inc.ops = len(events), int64(len(events))*int64(len(inc.re))
+	return inc.Spectrum()
 }
 
 // ComputeFast evaluates the same spectrum using one Sincos per event
@@ -169,7 +162,22 @@ type Incremental struct {
 	re, im []float64
 	events int
 	ops    int64
+
+	// The staged batch, in seconds: secs[:nAdd] are folded in and
+	// secs[nAdd:] folded out. Reused, so folding allocates nothing.
+	secs  []float64
+	nAdd  int
+	chunk func(int) // foldChunk, bound once so a sharded fold allocates nothing
 }
+
+// The fold is sharded over the shared workpool in chunks of
+// binsPerChunk contiguous bins once a batch costs at least inlineWork
+// complex exponentials (about 0.3 ms); smaller batches run inline,
+// where waking a helper would cost more than it saves.
+const (
+	binsPerChunk = 16
+	inlineWork   = 1 << 14
+)
 
 // NewIncremental returns an empty incremental analyser over the band.
 func NewIncremental(band Band) *Incremental {
@@ -177,7 +185,9 @@ func NewIncremental(band Band) *Incremental {
 		panic("spectrum: invalid band")
 	}
 	n := band.Bins()
-	return &Incremental{band: band, re: make([]float64, n), im: make([]float64, n)}
+	inc := &Incremental{band: band, re: make([]float64, n), im: make([]float64, n)}
+	inc.chunk = inc.foldChunk
+	return inc
 }
 
 // Band returns the analysed band.
@@ -190,23 +200,74 @@ func (inc *Incremental) Events() int { return inc.events }
 func (inc *Incremental) Ops() int64 { return inc.ops }
 
 // Add accumulates one event.
-func (inc *Incremental) Add(t simtime.Time) { inc.accumulate(t, 1) }
+func (inc *Incremental) Add(t simtime.Time) {
+	inc.stage([]simtime.Time{t}, nil)
+	inc.fold()
+}
 
 // Remove subtracts a previously added event. The caller must ensure
 // the event was in fact added; the analyser cannot verify it.
-func (inc *Incremental) Remove(t simtime.Time) { inc.accumulate(t, -1) }
+func (inc *Incremental) Remove(t simtime.Time) {
+	inc.stage(nil, []simtime.Time{t})
+	inc.fold()
+}
 
-func (inc *Incremental) accumulate(t simtime.Time, sign float64) {
-	ts := t.Seconds()
-	n := len(inc.re)
-	for i := 0; i < n; i++ {
-		w := 2 * math.Pi * inc.band.Freq(i)
-		s, c := math.Sincos(w * ts)
-		inc.re[i] += sign * c
-		inc.im[i] -= sign * s
+// stage loads a batch of events to add and events to remove, each in
+// the order they are to be folded.
+func (inc *Incremental) stage(add, remove []simtime.Time) {
+	inc.secs = slices.Grow(inc.secs[:0], len(add)+len(remove))
+	for _, t := range add {
+		inc.secs = append(inc.secs, t.Seconds())
 	}
-	inc.events += int(sign)
-	inc.ops += int64(n)
+	for _, t := range remove {
+		inc.secs = append(inc.secs, t.Seconds())
+	}
+	inc.nAdd = len(add)
+}
+
+// fold applies the staged batch to every bin, sharding the bins across
+// idle cores when the batch is large enough to pay for it.
+func (inc *Incremental) fold() {
+	n, k := len(inc.re), len(inc.secs)
+	if k == 0 {
+		return
+	}
+	if n*k < inlineWork {
+		inc.foldBins(0, n)
+	} else {
+		workpool.Shared().Run((n+binsPerChunk-1)/binsPerChunk, inc.chunk)
+	}
+	inc.events += 2*inc.nAdd - k
+	inc.ops += int64(n) * int64(k)
+}
+
+func (inc *Incremental) foldChunk(c int) {
+	lo := c * binsPerChunk
+	inc.foldBins(lo, min(lo+binsPerChunk, len(inc.re)))
+}
+
+// foldBins is the kernel. Each bin in [lo, hi) folds the staged
+// additions and then the staged removals, each in order, so it sees
+// the same sequence of floating-point operations as folding the events
+// one at a time across all bins: the result does not depend on how
+// the bins are batched or sharded.
+func (inc *Incremental) foldBins(lo, hi int) {
+	add, remove := inc.secs[:inc.nAdd], inc.secs[inc.nAdd:]
+	for i := lo; i < hi; i++ {
+		w := 2 * math.Pi * inc.band.Freq(i)
+		re, im := inc.re[i], inc.im[i]
+		for _, ts := range add {
+			s, c := math.Sincos(w * ts)
+			re += c
+			im -= s
+		}
+		for _, ts := range remove {
+			s, c := math.Sincos(w * ts)
+			re -= c
+			im += s
+		}
+		inc.re[i], inc.im[i] = re, im
+	}
 }
 
 // Reset clears the accumulators.
@@ -251,18 +312,16 @@ func (w *Window) Events() int { return w.inc.events }
 
 // Observe adds a batch of events (must be chronological and not before
 // previously observed events) and expires those older than H relative
-// to now.
+// to now, in one fold of the accumulators.
 func (w *Window) Observe(now simtime.Time, events []simtime.Time) {
-	for _, t := range events {
-		w.inc.Add(t)
-		w.buf = append(w.buf, t)
-	}
+	w.buf = append(w.buf, events...)
 	cutoff := now.Add(-w.horizon)
 	drop := 0
 	for drop < len(w.buf) && w.buf[drop] < cutoff {
-		w.inc.Remove(w.buf[drop])
 		drop++
 	}
+	w.inc.stage(events, w.buf[:drop])
+	w.inc.fold()
 	if drop > 0 {
 		w.buf = append(w.buf[:0], w.buf[drop:]...)
 	}

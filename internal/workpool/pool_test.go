@@ -1,6 +1,8 @@
 package workpool
 
 import (
+	"runtime"
+	"sync"
 	"sync/atomic"
 	"testing"
 )
@@ -80,5 +82,50 @@ func TestUnevenWork(t *testing.T) {
 	})
 	if got := sum.Load(); got != 4*1000+96 {
 		t.Fatalf("sum = %d, want %d", got, 4*1000+96)
+	}
+}
+
+// TestConcurrentAndNestedRun has many goroutines share one pool at
+// once, each batch also running nested batches on the same pool from
+// inside fn; every index of every batch must run exactly once and no
+// caller may deadlock waiting on a helper busy elsewhere.
+func TestConcurrentAndNestedRun(t *testing.T) {
+	for _, p := range []*Pool{New(3), Shared()} {
+		const callers, outer, inner = 8, 16, 32
+		hits := make([]atomic.Int64, callers*outer*inner)
+		var wg sync.WaitGroup
+		for c := 0; c < callers; c++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				p.Run(outer, func(i int) {
+					p.Run(inner, func(j int) { hits[(c*outer+i)*inner+j].Add(1) })
+				})
+			}()
+		}
+		wg.Wait()
+		for i := range hits {
+			if got := hits[i].Load(); got != 1 {
+				t.Fatalf("index %d ran %d times", i, got)
+			}
+		}
+		p.Close()
+	}
+}
+
+// TestSharedFollowsGOMAXPROCS checks the shared pool sizes itself at
+// each Run: inline at GOMAXPROCS 1, GOMAXPROCS workers otherwise.
+func TestSharedFollowsGOMAXPROCS(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range []int{1, 4} {
+		runtime.GOMAXPROCS(procs)
+		if got := Shared().Workers(); got != procs {
+			t.Errorf("GOMAXPROCS %d: Shared().Workers() = %d", procs, got)
+		}
+		var count atomic.Int64
+		Shared().Run(100, func(int) { count.Add(1) })
+		if count.Load() != 100 {
+			t.Fatalf("GOMAXPROCS %d: ran %d of 100 indices", procs, count.Load())
+		}
 	}
 }
