@@ -375,7 +375,7 @@ func BenchmarkClusterParallelTicks(b *testing.B) {
 // the control engine idle between Run horizons the laned build never
 // fences — the measured contrast is the sharding itself. workers > 0
 // selects laned mode (WithCoreParallelism); 0 the single-engine path.
-func coreParallelMachine(b *testing.B, workers int) *selftune.System {
+func coreParallelMachine(b testing.TB, workers int) *selftune.System {
 	b.Helper()
 	opts := []selftune.Option{selftune.WithSeed(23), selftune.WithCPUs(64)}
 	if workers > 0 {

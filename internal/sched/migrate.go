@@ -79,7 +79,7 @@ func (sd *Scheduler) Detach(srv *Server) error {
 		t.sched = nil
 	}
 	srv.sched = nil
-	sd.trace(EvParamChange, nil, "srv=%s detached q=%v d=%v", srv.name, srv.q, srv.d)
+	sd.logServer(EvParamChange, opDetachSrv, srv)
 	// The old core moves on to its next-best entity.
 	sd.dispatch()
 	return nil
@@ -122,7 +122,7 @@ func (sd *Scheduler) DetachTask(t *Task) error {
 		sd.lastTask = nil
 	}
 	t.sched = nil
-	sd.trace(EvParamChange, nil, "task=%s detached backlog=%d", t.name, len(t.pending))
+	sd.logMigrateTask(opDetachTask, t)
 	sd.dispatch()
 	return nil
 }
@@ -144,7 +144,7 @@ func (sd *Scheduler) AdoptTask(t *Task) error {
 	if t.runnable() {
 		sd.beWake(t)
 	}
-	sd.trace(EvParamChange, nil, "task=%s adopted backlog=%d", t.name, len(t.pending))
+	sd.logMigrateTask(opAdoptTask, t)
 	sd.dispatch()
 	return nil
 }
@@ -298,10 +298,7 @@ func (sd *Scheduler) Adopt(srv *Server) error {
 			when = now.Add(srv.period)
 			srv.d = when
 		}
-		srv.replenishEv = sd.engine.At(when, func() {
-			srv.replenishEv = sim.Timer{}
-			srv.replenish()
-		})
+		srv.replenishEv = sd.engine.At(when, srv.replenishFn)
 	case srvReady:
 		if srv.runnableTask() != nil {
 			sd.edfPush(srv)
@@ -309,7 +306,7 @@ func (sd *Scheduler) Adopt(srv *Server) error {
 			srv.state = srvIdle
 		}
 	}
-	sd.trace(EvParamChange, nil, "srv=%s adopted q=%v d=%v", srv.name, srv.q, srv.d)
+	sd.logServer(EvParamChange, opAdoptSrv, srv)
 	sd.dispatch()
 	return nil
 }

@@ -25,7 +25,10 @@ type Config struct {
 	// BEQuantum is the round-robin quantum of the best-effort class.
 	// Zero selects the default of 10ms.
 	BEQuantum simtime.Duration
-	// LogCapacity bounds the scheduler event log; zero disables logging.
+	// LogCapacity bounds the scheduler event log; zero disables
+	// logging. A disabled log costs one nil check per event and
+	// allocates nothing; an enabled one stores typed LogEntry records
+	// and formats them only when they are rendered.
 	LogCapacity int
 	// PIDBase is the first PID this scheduler hands out; zero selects
 	// 1000. Schedulers sharing one syscall tracer (the cores of an
@@ -117,7 +120,8 @@ func New(cfg Config) *Scheduler {
 // Engine returns the simulation engine.
 func (sd *Scheduler) Engine() *sim.Engine { return sd.engine }
 
-// Log returns the scheduler event log, or nil if disabled.
+// Log returns the scheduler event log, or nil if disabled
+// (Config.LogCapacity).
 func (sd *Scheduler) Log() *Log { return sd.log }
 
 // ContextSwitches returns the number of task switches performed.
@@ -166,6 +170,10 @@ func (sd *Scheduler) NewServer(name string, budget, period simtime.Duration, mod
 		budget:    budget,
 		period:    period,
 		heapIndex: -1,
+	}
+	s.replenishFn = func() {
+		s.replenishEv = sim.Timer{}
+		s.replenish()
 	}
 	sd.nextSrvID++
 	sd.servers = append(sd.servers, s)
@@ -323,16 +331,8 @@ func (sd *Scheduler) suspendLocked() {
 		}
 	}
 
-	// Fire execution-progress hooks crossed by this slice. Hooks can
-	// call back into the scheduler (e.g. a traced syscall triggering a
-	// controller); the re-entrancy guard folds those into this pass.
-	for j.nextHook < len(j.hooks) && j.hooks[j.nextHook].Offset <= j.done {
-		h := j.hooks[j.nextHook]
-		j.nextHook++
-		if h.Fn != nil {
-			h.Fn(nowt)
-		}
-	}
+	// Fire execution-progress hooks crossed by this slice.
+	j.fireHooks(nowt)
 
 	if j.done >= j.Total {
 		t.completeCurrent(nowt)
@@ -373,7 +373,7 @@ func (sd *Scheduler) pickAndRun() {
 	}
 	for len(sd.beQ) > 0 {
 		t := sd.beQ[0]
-		sd.beQ = sd.beQ[1:]
+		sd.beQ = popFront(sd.beQ)
 		t.beQueued = false
 		if !t.runnable() {
 			continue
@@ -394,13 +394,7 @@ func (sd *Scheduler) start(srv *Server, t *Task, nowt simtime.Time) {
 	}
 	// Fire hooks already reached (e.g. offset-zero "start of job"
 	// syscalls) before computing the slice, so slices are never empty.
-	for j.nextHook < len(j.hooks) && j.hooks[j.nextHook].Offset <= j.done {
-		h := j.hooks[j.nextHook]
-		j.nextHook++
-		if h.Fn != nil {
-			h.Fn(nowt)
-		}
-	}
+	j.fireHooks(nowt)
 	if j.done >= j.Total {
 		t.completeCurrent(nowt)
 		if srv != nil && srv.runnableTask() == nil {
@@ -420,7 +414,7 @@ func (sd *Scheduler) start(srv *Server, t *Task, nowt simtime.Time) {
 	}
 	if t != sd.lastTask {
 		sd.ctxSwitches++
-		sd.trace(EvDispatch, t, "slice=%v", slice)
+		sd.logTask(EvDispatch, t, slice)
 		sd.lastTask = t
 	}
 	sd.runServer = srv

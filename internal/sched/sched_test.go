@@ -226,6 +226,14 @@ func TestRMInsideOneServer(t *testing.T) {
 	}
 }
 
+// hookProbe is a SyscallEmitter that records when its hook fired.
+type hookProbe struct{ at simtime.Time }
+
+func (p *hookProbe) EmitSyscall(now simtime.Time, pid, nr int) simtime.Duration {
+	p.at = now
+	return 0
+}
+
 func TestProgressHooksFireAtExecutionProgress(t *testing.T) {
 	// With a dedicated 50% server, a job of 10ms with a hook at 5ms
 	// should fire the hook once 5ms of *execution* have been granted,
@@ -234,18 +242,18 @@ func TestProgressHooksFireAtExecutionProgress(t *testing.T) {
 	srv := sd.NewServer("s", 5*ms, 10*ms, sched.HardCBS)
 	task := sd.NewTask("t")
 	task.AttachTo(srv, 0)
-	var hookAt simtime.Time
+	hook := new(hookProbe)
 	eng.At(0, func() {
 		j := sched.NewJob(0, 10*ms, simtime.Never)
-		j.AddHook(0, nil) // exercise offset-zero hooks too
-		j.AddHook(5*ms, func(now simtime.Time) { hookAt = now })
+		j.AddHook(0, task.PID(), 0, nil) // exercise offset-zero hooks too
+		j.AddHook(5*ms, task.PID(), 0, hook)
 		task.Release(j)
 	})
 	eng.RunUntil(simtime.Time(simtime.Second))
 	// The server delivers 5ms per 10ms period; 5ms of progress is
 	// reached exactly when the first budget is exhausted, at t=5ms.
-	if hookAt != simtime.Time(5*ms) {
-		t.Errorf("hook fired at %v, want 5ms", hookAt)
+	if hook.at != simtime.Time(5*ms) {
+		t.Errorf("hook fired at %v, want 5ms", hook.at)
 	}
 	if task.Stats().Completed != 1 {
 		t.Errorf("job not completed: %+v", task.Stats())
@@ -268,14 +276,14 @@ func TestHookDelayedByContention(t *testing.T) {
 				lt.Release(sched.NewJob(0, simtime.Duration(10*simtime.Second), simtime.Never))
 			})
 		}
-		var hookAt simtime.Time
+		hook := new(hookProbe)
 		eng.At(0, func() {
 			j := sched.NewJob(0, 10*ms, simtime.Never)
-			j.AddHook(5*ms, func(now simtime.Time) { hookAt = now })
+			j.AddHook(5*ms, task.PID(), 0, hook)
 			task.Release(j)
 		})
 		eng.RunUntil(simtime.Time(simtime.Second))
-		return hookAt
+		return hook.at
 	}
 	unloaded, loaded := delay(false), delay(true)
 	if unloaded != simtime.Time(5*ms) {

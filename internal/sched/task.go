@@ -7,14 +7,28 @@ import (
 	"repro/internal/simtime"
 )
 
-// ProgressHook is a callback fired when a job's cumulative execution
-// reaches Offset. Hooks model observable side effects of execution —
-// in this reproduction, system calls issued by the application — so
-// their firing *wall* time depends on how the job is scheduled, which
-// is exactly the load-dependence the paper's tracer observes.
+// SyscallEmitter issues the system calls of a job's progress hooks.
+// It is implemented by the workload that built the job, which reads
+// its current syscall sink at fire time, so a job that follows its
+// workload to another tracer emits the rest of its calls there.
+// EmitSyscall returns the extra execution demand the tracing machinery
+// charges for the call (zero when untraced); the scheduler adds it to
+// the job.
+type SyscallEmitter interface {
+	EmitSyscall(now simtime.Time, pid, nr int) simtime.Duration
+}
+
+// ProgressHook is a system call a job issues when its cumulative
+// execution reaches Offset. Hooks model the observable side effects of
+// execution, so their firing *wall* time depends on how the job is
+// scheduled, which is exactly the load-dependence the paper's tracer
+// observes. A hook is plain data, so attaching one allocates nothing
+// beyond the job's reusable hook slice.
 type ProgressHook struct {
 	Offset simtime.Duration // execution progress at which to fire
-	Fn     func(now simtime.Time)
+	PID    int              // issuing process
+	NR     int              // syscall number
+	Emit   SyscallEmitter   // nil: the hook fires without effect
 }
 
 // Job is one activation of a task: an execution demand plus an
@@ -68,18 +82,19 @@ func (j *Job) Generation() uint64 { return j.gen }
 
 // recycle retires a completed job's storage to the pool. The
 // generation bump is what invalidates retained references; the hook
-// callbacks are dropped eagerly so recycled jobs never pin closures.
+// emitters are dropped eagerly so recycled jobs never pin a workload.
 func (j *Job) recycle() {
 	j.gen++
 	for i := range j.hooks {
-		j.hooks[i].Fn = nil
+		j.hooks[i].Emit = nil
 	}
 	jobPool.Put(j)
 }
 
-// AddHook registers a progress hook. Hooks must be added in
-// non-decreasing Offset order before the job is released.
-func (j *Job) AddHook(off simtime.Duration, fn func(now simtime.Time)) {
+// AddHook registers a progress hook: when the job has executed for
+// off, emit issues syscall nr for process pid. Hooks must be added in
+// non-decreasing offset order before the job is released.
+func (j *Job) AddHook(off simtime.Duration, pid, nr int, emit SyscallEmitter) {
 	if n := len(j.hooks); n > 0 && j.hooks[n-1].Offset > off {
 		panic("sched: job hooks must be added in offset order")
 	}
@@ -89,7 +104,21 @@ func (j *Job) AddHook(off simtime.Duration, fn func(now simtime.Time)) {
 	if off > j.Total {
 		off = j.Total
 	}
-	j.hooks = append(j.hooks, ProgressHook{Offset: off, Fn: fn})
+	j.hooks = append(j.hooks, ProgressHook{Offset: off, PID: pid, NR: nr, Emit: emit})
+}
+
+// fireHooks issues every hook the job's progress has reached, charging
+// each call's tracing overhead to the job. Emitters may call back into
+// the scheduler (e.g. a traced syscall triggering a controller); the
+// dispatch re-entrancy guard folds those into the current pass.
+func (j *Job) fireHooks(now simtime.Time) {
+	for j.nextHook < len(j.hooks) && j.hooks[j.nextHook].Offset <= j.done {
+		h := j.hooks[j.nextHook]
+		j.nextHook++
+		if h.Emit != nil {
+			j.ExtendDemand(h.Emit.EmitSyscall(now, h.PID, h.NR))
+		}
+	}
 }
 
 // Done returns the execution already received by the job.
@@ -97,8 +126,8 @@ func (j *Job) Done() simtime.Duration { return j.done }
 
 // ExtendDemand adds extra execution demand to the job. It models work
 // injected while the job runs — in this reproduction, the per-syscall
-// overhead charged by the kernel tracer. Non-positive amounts are
-// ignored. It is safe to call from a progress hook.
+// overhead charged by the kernel tracer, which the scheduler applies
+// for every fired progress hook. Non-positive amounts are ignored.
 func (j *Job) ExtendDemand(d simtime.Duration) {
 	if d > 0 {
 		j.Total += d
@@ -159,7 +188,7 @@ type Task struct {
 	server *Server
 	prio   int // fixed priority inside a server; lower value = higher priority
 
-	pending []*Job // FIFO backlog, pending[0] is the current job
+	pending []*Job // FIFO backlog, pending[0] is the current job; see popFront
 	stats   TaskStats
 
 	// OnJobComplete, if non-nil, is invoked when a job finishes.
@@ -218,7 +247,7 @@ func (t *Task) Release(j *Job) {
 	j.Release = now
 	t.pending = append(t.pending, j)
 	t.stats.Released++
-	t.sched.trace(EvJobRelease, t, "demand=%v", j.Total)
+	t.sched.logTask(EvJobRelease, t, j.Total)
 	if len(t.pending) == 1 {
 		t.started = false
 		if hook := t.sched.transitionHook; hook != nil {
@@ -244,7 +273,7 @@ func (t *Task) String() string {
 func (t *Task) completeCurrent(now simtime.Time) {
 	j := t.pending[0]
 	j.Finish = now
-	t.pending = t.pending[1:]
+	t.pending = popFront(t.pending)
 	t.started = false
 	t.stats.Completed++
 	if j.Deadline != simtime.Never && now.After(j.Deadline) {
@@ -253,7 +282,7 @@ func (t *Task) completeCurrent(now simtime.Time) {
 			t.stats.MaxTardy = tardy
 		}
 	}
-	t.sched.trace(EvJobComplete, t, "resp=%v", j.ResponseTime())
+	t.sched.logTask(EvJobComplete, t, j.ResponseTime())
 	if len(t.pending) == 0 {
 		if hook := t.sched.transitionHook; hook != nil {
 			hook(t, false, now)
@@ -265,4 +294,14 @@ func (t *Task) completeCurrent(now simtime.Time) {
 	if t.sched.recycleJobs {
 		j.recycle()
 	}
+}
+
+// popFront removes q[0] by shifting the rest down in place, keeping
+// the whole backing array (q = q[1:] would drop a slot of capacity per
+// pop), so a FIFO that is pushed and popped at the same rate stops
+// reallocating once it has reached its peak length.
+func popFront[T any](q []*T) []*T {
+	n := copy(q, q[1:])
+	q[n] = nil
+	return q[:n]
 }

@@ -139,17 +139,9 @@ func (g *GameLoop) release(now simtime.Time) {
 	}
 	j := sched.NewJob(now, d, now.Add(g.cfg.FramePeriod))
 	if g.cfg.Sink != nil {
-		pid := g.task.PID()
-		j.AddHook(0, func(at simtime.Time) {
-			if ov := g.cfg.Sink.Syscall(at, pid, int(SysPoll)); ov > 0 {
-				j.ExtendDemand(ov)
-			}
-		})
-		j.AddHook(d, func(at simtime.Time) {
-			if ov := g.cfg.Sink.Syscall(at, pid, int(SysWrite)); ov > 0 {
-				j.ExtendDemand(ov)
-			}
-		})
+		pid, emit := g.task.PID(), sinkEmitter{&g.cfg.Sink}
+		j.AddHook(0, pid, int(SysPoll), emit)
+		j.AddHook(d, pid, int(SysWrite), emit)
 	}
 	g.task.Release(j)
 }

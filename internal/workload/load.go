@@ -303,12 +303,7 @@ func (n *Noise) Start(at simtime.Time) {
 		}
 		j := sched.NewJob(n.lt.now(), d, simtime.Never)
 		if n.sink != nil {
-			pid := t.PID()
-			j.AddHook(d, func(now simtime.Time) {
-				if ov := n.sink.Syscall(now, pid, int(SysRead)); ov > 0 {
-					j.ExtendDemand(ov)
-				}
-			})
+			j.AddHook(d, t.PID(), int(SysRead), sinkEmitter{&n.sink})
 		}
 		t.Release(j)
 		gap := simtime.Duration(n.r.Exp(float64(n.meanInterarrival)))

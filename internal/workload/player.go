@@ -1,7 +1,8 @@
 package workload
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"repro/internal/rng"
 	"repro/internal/sched"
@@ -15,6 +16,18 @@ import (
 // implemented by ktrace.Buffer.
 type SyscallSink interface {
 	Syscall(now simtime.Time, pid int, nr int) simtime.Duration
+}
+
+// sinkEmitter issues a job's syscall hooks into whatever sink the
+// workload field it points at holds when the hook fires, not when it
+// was added: a cross-lane move repoints that field at the destination
+// core's tracer, and in-flight jobs must emit there too. A one-pointer
+// struct, it converts to sched.SyscallEmitter without allocating.
+type sinkEmitter struct{ sink *SyscallSink }
+
+// EmitSyscall implements sched.SyscallEmitter.
+func (e sinkEmitter) EmitSyscall(now simtime.Time, pid, nr int) simtime.Duration {
+	return (*e.sink).Syscall(now, pid, nr)
 }
 
 // PlayerConfig parameterises a media player model.
@@ -109,6 +122,14 @@ type Player struct {
 	// syscall mix weights, cumulative for sampling
 	mixCalls []Syscall
 	mixCum   []float64
+
+	emits []playerEmit // per-frame scratch of addSyscallHooks
+}
+
+// playerEmit is one syscall of a frame, at its execution offset.
+type playerEmit struct {
+	off simtime.Duration
+	nr  Syscall
 }
 
 // gopWeight returns the demand multiplier of frame k under the GOP
@@ -279,11 +300,7 @@ func (p *Player) addSyscallHooks(j *sched.Job, total simtime.Duration) {
 	if p.cfg.Sink == nil {
 		return
 	}
-	type emit struct {
-		off simtime.Duration
-		nr  Syscall
-	}
-	var emits []emit
+	emits := p.emits[:0]
 	span := func(lo, hi float64) simtime.Duration {
 		return simtime.Duration(p.r.Uniform(lo, hi) * float64(total))
 	}
@@ -292,37 +309,32 @@ func (p *Player) addSyscallHooks(j *sched.Job, total simtime.Duration) {
 		nStart += p.r.Intn(d + 1)
 	}
 	for i := 0; i < nStart; i++ {
-		emits = append(emits, emit{span(0, 0.04), p.sampleSyscall()})
+		emits = append(emits, playerEmit{span(0, 0.04), p.sampleSyscall()})
 	}
 	nEnd := p.cfg.EndBurstMin
 	if d := p.cfg.EndBurstMax - p.cfg.EndBurstMin; d > 0 {
 		nEnd += p.r.Intn(d + 1)
 	}
 	for i := 0; i < nEnd; i++ {
-		emits = append(emits, emit{span(0.96, 1.0), p.sampleSyscall()})
+		emits = append(emits, playerEmit{span(0.96, 1.0), p.sampleSyscall()})
 	}
 	if p.cfg.MidCallsMax > 0 {
 		for i, n := 0, p.r.Intn(p.cfg.MidCallsMax+1); i < n; i++ {
-			emits = append(emits, emit{span(0.1, 0.9), p.sampleSyscall()})
+			emits = append(emits, playerEmit{span(0.1, 0.9), p.sampleSyscall()})
 		}
 	}
 	// The final blocking call of the job body (the clock_nanosleep or
 	// ALSA wait that suspends the task until the next activation).
-	emits = append(emits, emit{total, SysNanosleep})
+	emits = append(emits, playerEmit{total, SysNanosleep})
 
-	sort.Slice(emits, func(a, b int) bool { return emits[a].off < emits[b].off })
+	// slices.SortFunc runs the same pdqsort as sort.Slice, so equal
+	// offsets keep the order the seeded streams have always produced.
+	slices.SortFunc(emits, func(a, b playerEmit) int { return cmp.Compare(a.off, b.off) })
 	pid := p.task.PID()
 	for _, e := range emits {
-		nr := int(e.nr)
-		// The sink is read at fire time, not captured: a cross-lane
-		// migration repoints p.cfg.Sink at the destination core's
-		// tracer, and in-flight jobs must emit there too.
-		j.AddHook(e.off, func(now simtime.Time) {
-			if ov := p.cfg.Sink.Syscall(now, pid, nr); ov > 0 {
-				j.ExtendDemand(ov)
-			}
-		})
+		j.AddHook(e.off, pid, int(e.nr), sinkEmitter{&p.cfg.Sink})
 	}
+	p.emits = emits
 }
 
 // MoveLane implements LaneMover: re-arm the release loop and any

@@ -120,16 +120,21 @@ func (tr *Transcoder) Start(at simtime.Time) {
 					nr = SysLseek
 				}
 				i++
-				j.AddHook(off, func(now simtime.Time) {
-					tr.calls++
-					if ov := tr.cfg.Sink.Syscall(now, pid, int(nr)); ov > 0 {
-						j.ExtendDemand(ov)
-					}
-				})
+				j.AddHook(off, pid, int(nr), transcoderEmitter{tr})
 			}
 		}
 		tr.task.Release(j)
 	})
+}
+
+// transcoderEmitter issues a transcode's syscall hooks, counting each
+// one and reading the sink at fire time, like sinkEmitter.
+type transcoderEmitter struct{ tr *Transcoder }
+
+// EmitSyscall implements sched.SyscallEmitter.
+func (e transcoderEmitter) EmitSyscall(now simtime.Time, pid, nr int) simtime.Duration {
+	e.tr.calls++
+	return e.tr.cfg.Sink.Syscall(now, pid, nr)
 }
 
 // Calls returns the number of syscalls emitted so far.

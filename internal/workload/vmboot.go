@@ -202,19 +202,11 @@ func (v *VMBoot) release(now simtime.Time) {
 	demand := simtime.Duration(d)
 	j := sched.NewJob(now, demand, now.Add(v.cfg.Period))
 	if v.cfg.Sink != nil {
-		pid := v.task.PID()
+		pid, emit := v.task.PID(), sinkEmitter{&v.cfg.Sink}
 		if m != 1 { // booting: disk traffic
-			j.AddHook(0, func(at simtime.Time) {
-				if ov := v.cfg.Sink.Syscall(at, pid, int(SysRead)); ov > 0 {
-					j.ExtendDemand(ov)
-				}
-			})
+			j.AddHook(0, pid, int(SysRead), emit)
 		}
-		j.AddHook(demand, func(at simtime.Time) {
-			if ov := v.cfg.Sink.Syscall(at, pid, int(SysNanosleep)); ov > 0 {
-				j.ExtendDemand(ov)
-			}
-		})
+		j.AddHook(demand, pid, int(SysNanosleep), emit)
 	}
 	v.task.Release(j)
 }

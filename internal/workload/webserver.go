@@ -160,17 +160,9 @@ func (s *WebServer) release(now simtime.Time) {
 	}
 	j := sched.NewJob(now, d, dl)
 	if s.cfg.Sink != nil {
-		pid := s.task.PID()
-		j.AddHook(0, func(at simtime.Time) {
-			if ov := s.cfg.Sink.Syscall(at, pid, int(SysRead)); ov > 0 {
-				j.ExtendDemand(ov)
-			}
-		})
-		j.AddHook(d, func(at simtime.Time) {
-			if ov := s.cfg.Sink.Syscall(at, pid, int(SysWrite)); ov > 0 {
-				j.ExtendDemand(ov)
-			}
-		})
+		pid, emit := s.task.PID(), sinkEmitter{&s.cfg.Sink}
+		j.AddHook(0, pid, int(SysRead), emit)
+		j.AddHook(d, pid, int(SysWrite), emit)
 	}
 	s.task.Release(j)
 }

@@ -410,3 +410,62 @@ func TestWebServerUtilisationScalesWithService(t *testing.T) {
 		t.Errorf("heavy traffic consumed %.3f of the CPU, want ~0.60", hi)
 	}
 }
+
+// TestLaneMoveRedirectsInFlightSyscalls checks that a job's syscall
+// hooks read the workload's sink when they fire: after MoveLane
+// repoints the sink, the rest of an in-flight job's calls land in the
+// new tracer, and the transcoder still counts every call it emits.
+func TestLaneMoveRedirectsInFlightSyscalls(t *testing.T) {
+	t.Run("player", func(t *testing.T) {
+		eng, sd := newSim()
+		before, after := ktrace.NewBuffer(ktrace.QTrace, 1<<12), ktrace.NewBuffer(ktrace.QTrace, 1<<12)
+		cfg := workload.VideoPlayerConfig("mplayer", 0.5)
+		cfg.ReleaseJitter = 0
+		cfg.Sink = before
+		p := workload.NewPlayer(sd, rng.New(3), cfg)
+		// 4ms of budget per 40ms stretches each 20ms frame over five
+		// periods, so the first frame is mid-flight at 50ms.
+		p.Task().AttachTo(sd.NewServer("res", 4*ms, 40*ms, sched.HardCBS), 0)
+		p.Start(0)
+		eng.RunUntil(simtime.Time(50 * ms))
+		if p.Task().Stats().Completed != 0 || before.Recorded() == 0 {
+			t.Fatalf("first frame not in flight at the move: %+v, %d calls", p.Task().Stats(), before.Recorded())
+		}
+		p.Stop()
+		p.MoveLane(eng, after)
+		moved := before.Recorded()
+		eng.RunUntil(simtime.Time(2 * simtime.Second))
+		if p.Task().Backlog() != 0 {
+			t.Fatalf("backlog %d left after the run", p.Task().Backlog())
+		}
+		if before.Recorded() != moved {
+			t.Errorf("old sink got %d calls after the move", before.Recorded()-moved)
+		}
+		if after.Histogram()[int(workload.SysNanosleep)] != p.Task().Stats().Completed {
+			t.Errorf("new sink saw %d final nanosleeps, want one per completed frame (%d)",
+				after.Histogram()[int(workload.SysNanosleep)], p.Task().Stats().Completed)
+		}
+	})
+	t.Run("transcoder", func(t *testing.T) {
+		eng, sd := newSim()
+		before, after := ktrace.NewBuffer(ktrace.QTrace, 1<<12), ktrace.NewBuffer(ktrace.QTrace, 1<<12)
+		cfg := workload.DefaultTranscoderConfig("ffmpeg")
+		cfg.TotalWork = 100 * ms
+		cfg.WorkJitter = 0
+		cfg.Sink = before
+		tr := workload.NewTranscoder(sd, rng.New(4), cfg)
+		tr.Start(0)
+		eng.RunUntil(simtime.Time(50 * ms))
+		tr.MoveLane(eng, after)
+		eng.RunUntil(simtime.Time(simtime.Second))
+		if _, ok := tr.Finished(); !ok {
+			t.Fatal("transcode never finished")
+		}
+		if before.Recorded() == 0 || after.Recorded() == 0 {
+			t.Errorf("calls split %d/%d across the move, want both sides", before.Recorded(), after.Recorded())
+		}
+		if got := before.Recorded() + after.Recorded(); tr.Calls() != got {
+			t.Errorf("Calls() = %d, tracers recorded %d", tr.Calls(), got)
+		}
+	})
+}

@@ -1,0 +1,7 @@
+//go:build race
+
+package repro
+
+// raceEnabled reports a -race build, whose sync.Pool drops items on
+// purpose; allocation-count tests skip under it.
+const raceEnabled = true
