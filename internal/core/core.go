@@ -212,7 +212,9 @@ func New(sd *sched.Scheduler, sup *supervisor.Supervisor, tracer *ktrace.Buffer,
 }
 
 // Rehome points the tuner at a new core after its managed server has
-// been migrated there (smp.Machine.Migrate): it registers a client
+// been moved there — it is the arrive step of smp.Machine.Move, which
+// runs it once the server is adopted on the destination core, of the
+// same machine or of another one: it registers a client
 // with the new core's supervisor under the configured bandwidth floor,
 // releases the old core's claim, and re-submits the current
 // reservation so the new supervisor's admission accounts for it
@@ -220,7 +222,7 @@ func New(sd *sched.Scheduler, sup *supervisor.Supervisor, tracer *ktrace.Buffer,
 // controller history, period estimate and analyser window all survive
 // — the application did not change, only where it runs. Rehome fails
 // without side effects when the new supervisor rejects the
-// registration; the caller is expected to migrate the server back.
+// registration, and Move then carries the server back.
 func (a *AutoTuner) Rehome(newSched *sched.Scheduler, newSup *supervisor.Supervisor) error {
 	client, err := rehomeClient(a.server, "tuner:"+a.task.Name(), a.task.Name(),
 		a.cfg.MinBandwidth, newSched, newSup, a.sup, a.client)

@@ -132,7 +132,7 @@ func (m *MultiTuner) Tasks() []*sched.Task { return m.tasks }
 // per-thread period verdicts, analyser windows and controller history
 // all survive — the application did not change, only where it runs.
 // Rehome fails without side effects when the new supervisor rejects
-// the registration; the caller is expected to migrate the server back.
+// the registration, and smp.Machine.Move then carries the server back.
 func (m *MultiTuner) Rehome(newSched *sched.Scheduler, newSup *supervisor.Supervisor) error {
 	client, err := rehomeClient(m.server, "multituner:"+m.tasks[0].Name(), m.tasks[0].Name(),
 		m.cfg.MinBandwidth, newSched, newSup, m.sup, m.client)

@@ -16,7 +16,7 @@ package sched
 // Carrying (q, d) across is the standard push-migration rule of
 // partitioned EDF: the server arrives on the new core with exactly the
 // bandwidth claim it held on the old one, so the per-core Σ Q/T bound
-// (checked by the caller, smp.Machine.Migrate) is preserved.
+// (checked by the caller, smp.Machine.Move) is preserved.
 
 import (
 	"fmt"

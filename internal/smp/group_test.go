@@ -51,8 +51,8 @@ func TestMigrateGroupConservesBandwidth(t *testing.T) {
 		loadSumBefore += l
 	}
 
-	if err := m.MigrateGroup(g, 0, 2, 0.3); err != nil {
-		t.Fatalf("MigrateGroup: %v", err)
+	if err := m.Move(g, 0, m, 2, 0.3, nil); err != nil {
+		t.Fatalf("Move: %v", err)
 	}
 	if got := totalMachineBandwidth(m); math.Abs(got-before) > 1e-12 {
 		t.Errorf("total reserved bandwidth changed: %.6f -> %.6f", before, got)
@@ -91,7 +91,7 @@ func TestMigrateGroupAllOrNothing(t *testing.T) {
 	}
 	loadsBefore := m.Loads()
 
-	if err := m.MigrateGroup(g, 0, 1, 0.6); err == nil {
+	if err := m.Move(g, 0, m, 1, 0.6, nil); err == nil {
 		t.Fatal("partial-fit group migration accepted")
 	}
 	loadsAfter := m.Loads()
@@ -113,36 +113,39 @@ func TestMigrateGroupAllOrNothing(t *testing.T) {
 	// The same unit fits once the blocker shrinks; rollback must not
 	// have corrupted the accounts.
 	m.Release(1, 0.4)
-	if err := m.MigrateGroup(g, 0, 1, 0.6); err != nil {
+	if err := m.Move(g, 0, m, 1, 0.6, nil); err != nil {
 		t.Fatalf("group migration after freeing room: %v", err)
 	}
 }
 
-// TestStealClaimsUpToMax exercises the steal path: a cold core claims
-// candidates in order, skipping what does not fit, stopping at Max.
-func TestStealClaimsUpToMax(t *testing.T) {
+// TestMoveBatchClaimsWhatFits is the shape of a balancer batch: a
+// cold core claims candidates in order, each admission-checked against
+// its account as it fills up, so what no longer fits is skipped and the
+// claiming core is never overloaded.
+func TestMoveBatchClaimsWhatFits(t *testing.T) {
 	eng := sim.New()
 	m := smp.New(eng, 3, 1)
-	var cands []smp.StealCandidate
-	for i := 0; i < 4; i++ {
-		g := reservedGroup(t, m, 0, "u", 0.2, 1)
-		cands = append(cands, smp.StealCandidate{Group: g, From: 0, Hint: 0.2})
+	if err := m.Reserve(2, 0.55); err != nil {
+		t.Fatal(err)
 	}
-	var hooked []int
-	moved := m.Steal(smp.StealRequest{
-		To:         2,
-		Max:        2,
-		Candidates: cands,
-		OnMoved:    func(i int) error { hooked = append(hooked, i); return nil },
-	})
+	var gs []sched.Group
+	for i := 0; i < 4; i++ {
+		gs = append(gs, reservedGroup(t, m, 0, "u", 0.2, 1))
+	}
+	var moved, arrived []int
+	for i, g := range gs {
+		if err := m.Move(g, 0, m, 2, 0.2, func() error { arrived = append(arrived, i); return nil }); err == nil {
+			moved = append(moved, i)
+		}
+	}
 	if len(moved) != 2 || moved[0] != 0 || moved[1] != 1 {
 		t.Fatalf("moved %v, want [0 1]", moved)
 	}
-	if len(hooked) != 2 {
-		t.Errorf("OnMoved fired %d times", len(hooked))
+	if len(arrived) != 2 {
+		t.Errorf("arrive ran %d times, want once per moved unit", len(arrived))
 	}
-	if got := m.Load(2); math.Abs(got-0.4) > 1e-9 {
-		t.Errorf("claiming core at %.3f, want 0.4", got)
+	if got := m.Load(2); math.Abs(got-0.95) > 1e-9 {
+		t.Errorf("claiming core at %.3f, want 0.95", got)
 	}
 	if got := m.Load(0); math.Abs(got-0.4) > 1e-9 {
 		t.Errorf("origin core at %.3f, want 0.4", got)
@@ -152,28 +155,22 @@ func TestStealClaimsUpToMax(t *testing.T) {
 	}
 }
 
-// TestStealRollsBackOnHookError: a failing OnMoved (the tuner-rehome
-// seam) returns the unit to its origin and the steal moves on.
-func TestStealRollsBackOnHookError(t *testing.T) {
+// TestMoveRollsBackOnArriveError: a failing arrive hook (the
+// tuner-rehome seam) returns the unit to its origin, uncharges the
+// destination and counts nothing; the next unit still moves.
+func TestMoveRollsBackOnArriveError(t *testing.T) {
 	eng := sim.New()
 	m := smp.New(eng, 2, 1)
 	g0 := reservedGroup(t, m, 0, "a", 0.2, 1)
 	g1 := reservedGroup(t, m, 0, "b", 0.2, 1)
-	moved := m.Steal(smp.StealRequest{
-		To: 1,
-		Candidates: []smp.StealCandidate{
-			{Group: g0, From: 0, Hint: 0.2},
-			{Group: g1, From: 0, Hint: 0.2},
-		},
-		OnMoved: func(i int) error {
-			if i == 0 {
-				return errRefused
-			}
-			return nil
-		},
-	})
-	if len(moved) != 1 || moved[0] != 1 {
-		t.Fatalf("moved %v, want [1]", moved)
+	if err := m.Move(g0, 0, m, 1, 0.2, func() error { return errRefused }); !errors.Is(err, errRefused) {
+		t.Fatalf("Move = %v, want the arrive error", err)
+	}
+	if m.Migrations() != 0 {
+		t.Errorf("Migrations() = %d after a rolled-back move", m.Migrations())
+	}
+	if err := m.Move(g1, 0, m, 1, 0.2, func() error { return nil }); err != nil {
+		t.Fatalf("second move: %v", err)
 	}
 	if !m.Core(0).Owns(g0.Servers[0]) {
 		t.Error("rolled-back unit not returned to its origin")
@@ -186,6 +183,9 @@ func TestStealRollsBackOnHookError(t *testing.T) {
 	}
 	if got := m.Load(1); math.Abs(got-0.2) > 1e-9 {
 		t.Errorf("destination at %.3f, want 0.2", got)
+	}
+	if m.Migrations() != 1 {
+		t.Errorf("Migrations() = %d, want 1", m.Migrations())
 	}
 }
 

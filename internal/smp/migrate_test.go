@@ -1,6 +1,7 @@
 package smp_test
 
 import (
+	"errors"
 	"math"
 	"sync"
 	"testing"
@@ -27,6 +28,9 @@ func reservedServer(t *testing.T, m *smp.Machine, core int, name string, bw floa
 	return srv
 }
 
+// one wraps a single server as a migration unit.
+func one(srv *sched.Server) sched.Group { return sched.Group{Servers: []*sched.Server{srv}} }
+
 func TestMigrateToFullCoreRejected(t *testing.T) {
 	eng := sim.New()
 	m := smp.New(eng, 2, 1)
@@ -36,11 +40,12 @@ func TestMigrateToFullCoreRejected(t *testing.T) {
 		t.Fatal(err)
 	}
 	before := m.Loads()
-	if err := m.Migrate(srv, 0, 1, 0.3); err == nil {
+	arrived := false
+	if err := m.Move(one(srv), 0, m, 1, 0.3, func() error { arrived = true; return nil }); err == nil {
 		t.Fatal("migration to a full core accepted")
 	}
 	// Rejection must leave the machine untouched: same loads, server
-	// still owned by core 0, no migration counted.
+	// still owned by core 0, no migration counted, arrive never run.
 	after := m.Loads()
 	for i := range before {
 		if before[i] != after[i] {
@@ -53,16 +58,38 @@ func TestMigrateToFullCoreRejected(t *testing.T) {
 	if m.Migrations() != 0 {
 		t.Errorf("Migrations() = %d after rejection", m.Migrations())
 	}
-	// A rollback (ForceMigrate) bypasses the admission check: a state
-	// that was legal moments ago must be restorable.
-	if err := m.ForceMigrate(srv, 0, 1, 0.3); err != nil {
-		t.Fatalf("ForceMigrate: %v", err)
+	if arrived {
+		t.Error("arrive ran for a move refused at admission")
+	}
+	// A rollback re-runs no admission: a state that was legal moments
+	// ago must be restorable even if the source account filled up
+	// while the unit was away.
+	m.Release(1, 0.2)
+	refill := func() error {
+		if err := m.Reserve(0, 0.7); err != nil {
+			t.Fatal(err)
+		}
+		return errRefused
+	}
+	if err := m.Move(one(srv), 0, m, 1, 0.3, refill); !errors.Is(err, errRefused) {
+		t.Fatalf("Move = %v, want the arrive error", err)
+	}
+	if !m.Core(0).Owns(srv) {
+		t.Error("rollback did not return the server to its filled-up source")
+	}
+	if got := m.Load(0); math.Abs(got-1.0) > 1e-9 {
+		t.Errorf("core 0 load %.3f after the rollback, want 1.0", got)
+	}
+	m.Release(0, 0.7)
+	// Once the blocker has shrunk the same move goes through.
+	if err := m.Move(one(srv), 0, m, 1, 0.3, nil); err != nil {
+		t.Fatalf("move after freeing room: %v", err)
 	}
 	if !m.Core(1).Owns(srv) {
-		t.Error("server did not move under ForceMigrate")
+		t.Error("server did not move")
 	}
-	if got := m.Load(1); math.Abs(got-1.1) > 1e-9 {
-		t.Errorf("core 1 load %.3f after forced move, want 1.1", got)
+	if got := m.Load(1); math.Abs(got-0.9) > 1e-9 {
+		t.Errorf("core 1 load %.3f after the move, want 0.9", got)
 	}
 }
 
@@ -73,23 +100,29 @@ func TestMigrateValidation(t *testing.T) {
 	foreign := sched.New(sched.Config{Engine: eng}).NewServer("foreign", 10*simtime.Millisecond, 100*simtime.Millisecond, sched.HardCBS)
 	cases := []struct {
 		name     string
-		srv      *sched.Server
+		g        sched.Group
+		dst      *smp.Machine
 		from, to int
 	}{
-		{"nil server", nil, 0, 1},
-		{"from out of range", srv, -1, 1},
-		{"to out of range", srv, 0, 2},
-		{"same core", srv, 0, 0},
-		{"wrong source core", srv, 1, 0},
-		{"foreign server", foreign, 0, 1},
+		{"nil server", one(nil), m, 0, 1},
+		{"empty group", sched.Group{}, m, 0, 1},
+		{"nil machine", one(srv), nil, 0, 1},
+		{"from out of range", one(srv), m, -1, 1},
+		{"to out of range", one(srv), m, 0, 2},
+		{"same core", one(srv), m, 0, 0},
+		{"wrong source core", one(srv), m, 1, 0},
+		{"foreign server", one(foreign), m, 0, 1},
 	}
 	for _, tc := range cases {
-		if err := m.Migrate(tc.srv, tc.from, tc.to, 0.2); err == nil {
+		if err := m.Move(tc.g, tc.from, tc.dst, tc.to, 0.2, nil); err == nil {
 			t.Errorf("%s: migration accepted", tc.name)
 		}
 	}
 	if m.Migrations() != 0 {
 		t.Errorf("Migrations() = %d", m.Migrations())
+	}
+	if !m.Core(0).Owns(srv) {
+		t.Error("a refused move took the server off its core")
 	}
 }
 
@@ -127,7 +160,7 @@ func TestMigrateConservesBandwidth(t *testing.T) {
 		{srvs[0], 2, 1, 0.40},
 	}
 	for i, mv := range moves {
-		if err := m.Migrate(mv.srv, mv.from, mv.to, mv.hint); err != nil {
+		if err := m.Move(one(mv.srv), mv.from, m, mv.to, mv.hint, nil); err != nil {
 			t.Fatalf("move %d: %v", i, err)
 		}
 		if got := total(); math.Abs(got-wantTotal) > 1e-9 {
@@ -142,6 +175,67 @@ func TestMigrateConservesBandwidth(t *testing.T) {
 	}
 	if m.Migrations() != len(moves) {
 		t.Errorf("Migrations() = %d, want %d", m.Migrations(), len(moves))
+	}
+}
+
+// TestMoveAcrossMachines is a live transfer at the smp level: the unit
+// leaves one machine's scheduler and account and lands on the other's,
+// with the admission overcharge shrunk back to the lasting hint, and
+// neither machine counts it as one of its own migrations.
+func TestMoveAcrossMachines(t *testing.T) {
+	eng := sim.New()
+	a, b := smp.New(eng, 2, 1), smp.NewOffset(eng, 2, 1, 1_000_000_000)
+	g := reservedGroup(t, a, 1, "bg", 0.1, 3) // 0.3 reserved under a 0.3 hint
+	// A hint below the reserved bandwidth: the destination is checked
+	// against the larger charge, then keeps only the hint.
+	if err := a.Move(g, 1, b, 1, 0.2, nil); err != nil {
+		t.Fatalf("Move across machines: %v", err)
+	}
+	for _, srv := range g.Servers {
+		if !b.Core(1).Owns(srv) {
+			t.Errorf("server %s not owned by the destination machine", srv.Name())
+		}
+	}
+	if got := a.Load(1); math.Abs(got-0.1) > 1e-9 {
+		t.Errorf("source core at %.3f, want the 0.1 of hint it kept", got)
+	}
+	if got := b.Load(1); math.Abs(got-0.3) > 1e-9 {
+		t.Errorf("destination core at %.3f, want its reserved 0.3", got)
+	}
+	if a.Migrations() != 0 || b.Migrations() != 0 {
+		t.Errorf("a transfer counted as a migration: %d and %d", a.Migrations(), b.Migrations())
+	}
+	// Same core index on another machine is a real move.
+	if err := b.Move(g, 1, a, 1, 0.2, nil); err != nil {
+		t.Fatalf("Move back: %v", err)
+	}
+	if !a.Core(1).Owns(g.Servers[0]) {
+		t.Error("unit did not come back")
+	}
+}
+
+// TestMoveRollsBackAcrossMachines: an arrive error returns the unit to
+// the source machine and leaves both accounts as they were.
+func TestMoveRollsBackAcrossMachines(t *testing.T) {
+	eng := sim.New()
+	a, b := smp.New(eng, 2, 1), smp.NewOffset(eng, 2, 1, 1_000_000_000)
+	srv := reservedServer(t, a, 0, "s", 0.3)
+	loadsA, loadsB := a.Loads(), b.Loads()
+	if err := a.Move(one(srv), 0, b, 0, 0.3, func() error { return errRefused }); !errors.Is(err, errRefused) {
+		t.Fatalf("Move = %v, want the arrive error", err)
+	}
+	if !a.Core(0).Owns(srv) {
+		t.Error("rolled-back unit not returned to its source machine")
+	}
+	for i, l := range a.Loads() {
+		if l != loadsA[i] {
+			t.Errorf("source core %d at %v after rollback, want %v", i, l, loadsA[i])
+		}
+	}
+	for i, l := range b.Loads() {
+		if l != loadsB[i] {
+			t.Errorf("destination core %d at %v after rollback, want %v", i, l, loadsB[i])
+		}
 	}
 }
 

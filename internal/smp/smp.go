@@ -7,9 +7,10 @@
 // headroom for the feedback loops to adapt into.
 //
 // On top of the partitioned baseline the machine supports migration:
-// Migrate atomically releases a reservation (a CBS server and its
-// placement hint) from one core and re-places it on another, using the
-// sched package's Detach/Adopt to carry the budget/deadline state
+// Move atomically releases a migration unit (CBS servers, their tasks
+// and their placement hint) from one core and re-places it on another
+// core of the same machine or of another one, using the sched
+// package's DetachAll/AdoptAll to carry the budget/deadline state
 // across. The paper calls the cooperation between load balancing and
 // adaptive reservations "an open research issue"; the policies built
 // on this mechanism live in the selftune balancer.
@@ -75,8 +76,8 @@ func NewOffset(engine *sim.Engine, n int, ulub float64, pidOffset int) *Machine 
 // NewLaned builds a machine whose cores run on separate engine lanes:
 // core i's scheduler schedules exclusively on engines[i], so the lanes
 // can advance concurrently between causality fences (sim.EngineGroup).
-// Engine() returns lane 0; cross-core operations (Migrate, Steal,
-// LoadsInto) are only legal while every lane rests at the same fence
+// Engine() returns lane 0; cross-core operations (Move, LoadsInto)
+// are only legal while every lane rests at the same fence
 // instant. Migration carries a reservation's timers across lanes:
 // sched.Detach/Adopt already cancel and re-arm on each scheduler's own
 // engine, which is exactly lane-correct at a fence.
@@ -127,17 +128,37 @@ func (m *Machine) Supervisor(i int) *supervisor.Supervisor { return m.sups[i] }
 func (m *Machine) Engine() *sim.Engine { return m.engine }
 
 // Place picks a core for an application expected to need the given
-// bandwidth, worst-fit (the least-loaded core), and records the hint.
-// It returns the core index, or an error when no core has room. The
-// load metric combines accepted hints with the cores' actually
-// reserved bandwidth, so placement stays meaningful after the tuners
-// have adapted away from their hints.
+// bandwidth, worst-fit (see Pick), and records the hint. It returns
+// the core index, or an error when no core has room.
 func (m *Machine) Place(bandwidth float64) (int, error) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	best, err := m.pick(bandwidth)
+	if err != nil {
+		return 0, err
+	}
+	m.placed[best] += bandwidth
+	return best, nil
+}
+
+// Pick returns the core Place would choose for the given bandwidth —
+// the least-loaded core with room for it — without charging it, for
+// callers that charge through Move instead. The load metric combines
+// accepted hints with the cores' actually reserved bandwidth, so
+// placement stays meaningful after the tuners have adapted away from
+// their hints.
+func (m *Machine) Pick(bandwidth float64) (int, error) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.pick(bandwidth)
+}
+
+// pick is the worst-fit choice shared by Place and Pick. The caller
+// must hold m.mu.
+func (m *Machine) pick(bandwidth float64) (int, error) {
 	if bandwidth <= 0 || bandwidth > 1 {
 		return 0, fmt.Errorf("smp: bandwidth hint %v out of (0,1]", bandwidth)
 	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	best, bestLoad := -1, 2.0
 	for i := range m.cores {
 		load := m.load(i)
@@ -148,7 +169,6 @@ func (m *Machine) Place(bandwidth float64) (int, error) {
 	if best < 0 {
 		return 0, fmt.Errorf("smp: no core fits %.3f (loads %v)", bandwidth, m.loads())
 	}
-	m.placed[best] += bandwidth
 	return best, nil
 }
 
@@ -182,86 +202,57 @@ func (m *Machine) Release(core int, bandwidth float64) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.placed[core] -= bandwidth
-	if m.placed[core] < 0 {
-		m.placed[core] = 0
+	m.clamp(core)
+}
+
+// Move carries the migration unit g — CBS servers with their attached
+// tasks and live budget/deadline state, plus bare best-effort tasks —
+// from core `from` of m to core `to` of dst, together with `hint` of
+// placement-account bandwidth. dst is m itself for a cross-core
+// migration, or another machine resting at the same simulated instant
+// for a live transfer between machines. It is the one move primitive:
+// every migration, balancer steal and cross-machine transfer runs
+// through it, in five steps.
+//
+//  1. Admission: the unit arrives with the larger of its hint and its
+//     summed reserved bandwidth, and that charge must fit under the
+//     destination supervisor's bound in one check. The full charge
+//     lands on the destination account at once (the reserved half
+//     only materialises at AdoptAll), so an interleaved Place cannot
+//     fill the just-checked room.
+//  2. The unit detaches from the source scheduler and is adopted by
+//     the destination one (sched.DetachAll/AdoptAll).
+//  3. arrive, if non-nil, runs with the unit on its destination — the
+//     caller's chance to re-register a supervisor client of the
+//     reservation (selftune rehomes the unit's tuner here).
+//  4. Any error in steps 2–3 rolls back in one place: the unit returns
+//     to the source scheduler and the charge is taken off the
+//     destination again. The source account is only touched on
+//     success, so a refused move leaves both machines as they were.
+//  5. On success the hint leaves the source account, the destination
+//     keeps it and the admission overcharge shrinks back, and a move
+//     within one machine counts as a migration (a cross-domain one
+//     also as a cross-node migration).
+//
+// Like everything touching live scheduler state, Move must run on the
+// simulation goroutine (for a laned machine: at a causality fence).
+func (m *Machine) Move(g sched.Group, from int, dst *Machine, to int, hint float64, arrive func() error) error {
+	if dst == nil {
+		return fmt.Errorf("smp: move to a nil machine")
 	}
-}
-
-// CanFit reports whether core i currently has room for the given
-// additional bandwidth under its supervisor's bound.
-func (m *Machine) CanFit(core int, bandwidth float64) bool {
-	if core < 0 || core >= len(m.cores) || bandwidth <= 0 {
-		return false
+	if from < 0 || from >= len(m.cores) || to < 0 || to >= len(dst.cores) {
+		return fmt.Errorf("smp: move cores %d -> %d out of [0,%d) -> [0,%d)",
+			from, to, len(m.cores), len(dst.cores))
 	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.load(core)+bandwidth <= m.sups[core].ULub()+1e-9
-}
-
-// Migrate atomically releases the reservation of srv from core `from`
-// and re-places it on core `to`: the server (with its attached tasks
-// and live budget/deadline state) moves between the per-core
-// schedulers, and `hint` of placement-account bandwidth moves with it.
-// The move is admission-checked against the target core first — the
-// server arrives with the larger of its hint and its actually reserved
-// bandwidth, and that must fit under the target supervisor's bound —
-// and on any error the machine is left exactly as it was. The caller
-// is responsible for moving any supervisor *client* of the reservation
-// (selftune does this through AutoTuner.Rehome).
-func (m *Machine) Migrate(srv *sched.Server, from, to int, hint float64) error {
-	return m.migrate(srv, from, to, hint, true)
-}
-
-// ForceMigrate moves srv like Migrate but skips the target admission
-// check. It exists for rollback paths that restore a reservation to a
-// core it just vacated: a state that was legal moments ago must be
-// restorable even if the accounts shifted meanwhile, and re-running
-// admission there could strand the reservation.
-func (m *Machine) ForceMigrate(srv *sched.Server, from, to int, hint float64) error {
-	return m.migrate(srv, from, to, hint, false)
-}
-
-func (m *Machine) migrate(srv *sched.Server, from, to int, hint float64, admit bool) error {
-	if srv == nil {
-		return fmt.Errorf("smp: migrate of a nil server")
-	}
-	return m.migrateGroup(sched.Group{Servers: []*sched.Server{srv}}, from, to, hint, admit)
-}
-
-// MigrateGroup atomically moves a whole migration unit — a set of CBS
-// servers (each with its attached tasks) plus bare best-effort tasks —
-// from core `from` to core `to`, together with `hint` of
-// placement-account bandwidth. Admission is batch and all-or-nothing:
-// the unit arrives with the larger of its aggregate hint and its
-// summed reserved bandwidth, that total must fit under the target
-// supervisor's bound in one check, and on any error the machine is
-// left exactly as it was — either every member moves or none does.
-// This is what lets a multi-reservation background load or a
-// shared-reservation application change cores as one unit.
-func (m *Machine) MigrateGroup(g sched.Group, from, to int, hint float64) error {
-	return m.migrateGroup(g, from, to, hint, true)
-}
-
-// ForceMigrateGroup moves a group like MigrateGroup but skips the
-// target admission check, for rollback paths restoring a unit to a
-// core it just vacated (see ForceMigrate).
-func (m *Machine) ForceMigrateGroup(g sched.Group, from, to int, hint float64) error {
-	return m.migrateGroup(g, from, to, hint, false)
-}
-
-func (m *Machine) migrateGroup(g sched.Group, from, to int, hint float64, admit bool) error {
-	if from < 0 || from >= len(m.cores) || to < 0 || to >= len(m.cores) {
-		return fmt.Errorf("smp: migrate cores %d -> %d out of [0,%d)", from, to, len(m.cores))
-	}
-	if from == to {
-		return fmt.Errorf("smp: migrate within core %d", from)
+	if dst == m && from == to {
+		return fmt.Errorf("smp: move within core %d", from)
 	}
 	if g.Empty() {
-		return fmt.Errorf("smp: migrate of an empty group")
+		return fmt.Errorf("smp: move of an empty group")
 	}
 	for _, srv := range g.Servers {
 		if srv == nil || !m.cores[from].Owns(srv) {
-			return fmt.Errorf("smp: migrating server not owned by core %d", from)
+			return fmt.Errorf("smp: moving server not owned by core %d", from)
 		}
 	}
 	if hint < 0 {
@@ -271,125 +262,89 @@ func (m *Machine) migrateGroup(g sched.Group, from, to int, hint float64, admit 
 	if bw := g.Bandwidth(); bw > charge {
 		charge = bw
 	}
-	// Check admission and charge the target in one critical section:
-	// the full admission charge lands on the target's account up front
-	// — the reserved-bandwidth half only materialises at AdoptAll — so
-	// an interleaved Place cannot fill the just-checked room; the
-	// charge shrinks back to the lasting hint once the unit has
-	// arrived.
-	m.mu.Lock()
-	if admit {
-		if load := m.load(to); load+charge > m.sups[to].ULub()+1e-9 {
-			m.mu.Unlock()
-			return fmt.Errorf("smp: core %d at load %.3f cannot fit %.3f migrating from core %d",
-				to, load, charge, from)
+	// A move within a machine has always charged the destination as
+	// hint then overcharge, a transfer between machines as one sum. The
+	// two orders round differently, and one ulp can flip a later
+	// worst-fit tie, so each keeps its own; the rollback subtracts the
+	// same parts in reverse.
+	parts := [2]float64{charge, 0}
+	if dst == m {
+		parts = [2]float64{hint, charge - hint}
+	}
+	dst.mu.Lock()
+	if load := dst.load(to); load+charge > dst.sups[to].ULub()+1e-9 {
+		dst.mu.Unlock()
+		return fmt.Errorf("smp: core %d at load %.3f cannot fit %.3f moving from core %d",
+			to, load, charge, from)
+	}
+	dst.placed[to] += parts[0]
+	dst.placed[to] += parts[1]
+	dst.mu.Unlock()
+
+	detached, adopted := false, false
+	err := m.cores[from].DetachAll(g)
+	if err == nil {
+		detached = true
+		err = dst.cores[to].AdoptAll(g)
+	}
+	if err == nil {
+		adopted = true
+		if arrive != nil {
+			err = arrive()
 		}
 	}
-	m.moveHint(from, to, hint)
-	m.placed[to] += charge - hint
-	m.mu.Unlock()
-	undoCharge := func() {
-		m.mu.Lock()
-		m.placed[to] -= charge - hint
-		m.moveHint(to, from, hint)
-		m.mu.Unlock()
-	}
-	if err := m.cores[from].DetachAll(g); err != nil {
-		undoCharge()
-		return fmt.Errorf("smp: migrate group: %w", err)
-	}
-	if err := m.cores[to].AdoptAll(g); err != nil {
-		// Unreachable in practice (the group was just detached and the
-		// simulation is single-goroutine); put it back rather than
-		// strand the reservations.
-		if rb := m.cores[from].AdoptAll(g); rb != nil {
-			panic(fmt.Sprintf("smp: migration stranded group: %v after %v", rb, err))
+	if err != nil {
+		// Detach/Adopt of a group that was just validated cannot fail
+		// on the simulation goroutine; should the way back fail anyway,
+		// the reservations would be stranded on no core, which no
+		// caller can repair.
+		var rb error
+		if adopted {
+			rb = dst.cores[to].DetachAll(g)
 		}
-		undoCharge()
-		return fmt.Errorf("smp: migrate group: %w", err)
+		if rb == nil && detached {
+			rb = m.cores[from].AdoptAll(g)
+		}
+		if rb != nil {
+			panic(fmt.Sprintf("smp: move stranded a group: %v after %v", rb, err))
+		}
+		dst.mu.Lock()
+		dst.placed[to] -= parts[1]
+		dst.placed[to] -= parts[0]
+		dst.clamp(to)
+		dst.mu.Unlock()
+		return fmt.Errorf("smp: move: %w", err)
 	}
+
 	m.mu.Lock()
-	m.placed[to] -= charge - hint
-	if m.placed[to] < 0 {
-		m.placed[to] = 0
-	}
-	m.migrations++
-	if m.domainAt(from) != m.domainAt(to) {
-		m.crossNode++
-	}
+	m.placed[from] -= hint
+	m.clamp(from)
 	m.mu.Unlock()
+	dst.mu.Lock()
+	dst.placed[to] -= charge - hint
+	dst.clamp(to)
+	if dst == m {
+		m.migrations++
+		if m.domainAt(from) != m.domainAt(to) {
+			m.crossNode++
+		}
+	}
+	dst.mu.Unlock()
 	return nil
 }
 
-// StealCandidate is one unit a steal request may claim: a group on
-// core From carrying Hint of placement-account bandwidth.
-type StealCandidate struct {
-	Group sched.Group
-	From  int
-	Hint  float64
-}
-
-// StealRequest asks the machine to move reservations onto core To — a
-// cold core claiming work from its overloaded peers in one tick.
-type StealRequest struct {
-	// To is the claiming (destination) core.
-	To int
-	// Max bounds how many candidates the request may claim; 0 means
-	// all of them.
-	Max int
-	// Candidates are tried in order. One that fails admission on To is
-	// skipped, not fatal: the steal claims what fits.
-	Candidates []StealCandidate
-	// OnMoved, if non-nil, runs after each candidate's physical move
-	// (e.g. re-registering a tuner with the destination supervisor). A
-	// non-nil error rolls that candidate back to its origin core and
-	// drops it from the result.
-	OnMoved func(i int) error
-}
-
-// Steal executes the request and returns the indices of the candidates
-// that moved. Each candidate is admission-checked individually against
-// To's account as it fills up, so a steal never overloads the claiming
-// core; like everything touching live scheduler state it must run on
-// the simulation goroutine.
-func (m *Machine) Steal(req StealRequest) []int {
-	var moved []int
-	for i, c := range req.Candidates {
-		if req.Max > 0 && len(moved) >= req.Max {
-			break
-		}
-		if err := m.MigrateGroup(c.Group, c.From, req.To, c.Hint); err != nil {
-			continue
-		}
-		if req.OnMoved != nil {
-			if err := req.OnMoved(i); err != nil {
-				if rb := m.ForceMigrateGroup(c.Group, req.To, c.From, c.Hint); rb != nil {
-					panic(fmt.Sprintf("smp: steal stranded a group: %v after %v", rb, err))
-				}
-				continue
-			}
-		}
-		moved = append(moved, i)
+// clamp keeps core i's hint account non-negative. The caller must hold
+// m.mu.
+func (m *Machine) clamp(i int) {
+	if m.placed[i] < 0 {
+		m.placed[i] = 0
 	}
-	return moved
 }
 
-// moveHint transfers placement-account bandwidth between cores. The
-// caller must hold m.mu.
-func (m *Machine) moveHint(from, to int, hint float64) {
-	if hint <= 0 {
-		return
-	}
-	m.placed[from] -= hint
-	if m.placed[from] < 0 {
-		m.placed[from] = 0
-	}
-	m.placed[to] += hint
-}
-
-// Migrations returns the number of successful Migrate calls (a
-// rolled-back migration counts each direction; selftune's
-// System.Migrations counts workload moves instead).
+// Migrations returns the number of successful moves within the
+// machine (a rolled-back move counts nothing, a transfer to another
+// machine is not a migration of either; selftune's System.Migrations
+// counts workload moves instead).
 func (m *Machine) Migrations() int {
 	m.mu.Lock()
 	defer m.mu.Unlock()

@@ -113,7 +113,7 @@ func migrateOne(t *testing.T, m *Machine, from, to int) {
 		t.Fatal(err)
 	}
 	srv := m.Core(from).NewServer("srv", 10_000_000, 100_000_000, sched.HardCBS)
-	if err := m.Migrate(srv, from, to, 0.3); err != nil {
+	if err := m.Move(sched.Group{Servers: []*sched.Server{srv}}, from, m, to, 0.3, nil); err != nil {
 		t.Fatal(err)
 	}
 }

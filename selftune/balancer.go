@@ -9,9 +9,9 @@ package selftune
 // failed admission) it freezes an immutable Snapshot of the machine —
 // per-core loads and bounds plus the list of migration *units* — hands
 // it to the configured Balancer, and executes the returned moves
-// through the migration machinery of internal/smp and internal/sched
-// (batched per destination through the steal path, all-or-nothing per
-// unit, tuners re-registered on arrival).
+// through the one move path, System.move on smp.Machine.Move (batched
+// per destination, all-or-nothing per unit, tuners re-registered on
+// arrival).
 //
 // A migration unit is the set of CBS servers and tasks that must
 // change cores together: a tuned workload (one server, rehomed via
@@ -38,7 +38,6 @@ import (
 	"sort"
 
 	"repro/internal/sched"
-	"repro/internal/smp"
 	"repro/internal/workload"
 )
 
@@ -398,7 +397,8 @@ type sharedGroup struct {
 }
 
 // migUnit is the live counterpart of a snapshot Unit: the sched.Group
-// to move, the handles whose cores to update, and the tuner to rehome.
+// to move, the handles whose cores to update, and — through handles or
+// shared — the tuner to rehome.
 type migUnit struct {
 	name    string
 	kind    string
@@ -407,71 +407,15 @@ type migUnit struct {
 	group   sched.Group
 	handles []*Handle
 	shared  *sharedGroup
-	rehome  func(to int) error // nil when nothing re-registers
 }
 
 // unitFor builds the live migration unit containing h: its shared
-// group when it has one, otherwise the handle alone. On a laned
-// machine every unit's rehome additionally carries the workload's
-// lane-bound state — self-timers, syscall sink, undownloaded trace
-// evidence, the tuner's tracer — to the destination lane; the lane
-// move is infallible and runs only after the base rehome succeeded,
-// so a supervisor rejection still rolls back cleanly.
+// group when it has one, otherwise the handle alone.
 func (s *System) unitFor(h *Handle) *migUnit {
-	var u *migUnit
 	if h.shared != nil {
-		u = s.sharedUnit(h.shared)
-	} else {
-		u = s.handleUnit(h)
+		return s.sharedUnit(h.shared)
 	}
-	if s.group != nil {
-		base := u.rehome
-		u.rehome = func(to int) error {
-			if base != nil {
-				if err := base(to); err != nil {
-					return err
-				}
-			}
-			s.moveUnitLane(u, to)
-			return nil
-		}
-	}
-	return u
-}
-
-// moveUnitLane moves a migration unit's lane-bound state after its
-// reservations switched cores on a laned machine: each member
-// workload's self-timers re-arm on the destination lane and its sink
-// repoints at the destination core's tracer (LaneMover), the tasks'
-// undownloaded syscall evidence transfers between the per-core buffers
-// (so the period analyser loses nothing across the move), the request
-// publishers follow, and the unit's tuner — if any — downloads from
-// the destination buffer from now on. Runs at a causality fence, with
-// every lane at rest; u.core is still the source core here (finishMove
-// updates it afterwards).
-func (s *System) moveUnitLane(u *migUnit, to int) {
-	dstEng, dstBuf := s.lanes[to], s.laneBufs[to]
-	srcBuf := s.laneBufs[u.core]
-	for _, h := range u.handles {
-		if lm, ok := h.w.(workload.LaneMover); ok {
-			lm.MoveLane(dstEng, dstBuf)
-		}
-		h.ctx.core = to
-	}
-	for _, srv := range u.group.Servers {
-		for _, t := range srv.Tasks() {
-			dstBuf.Inject(srcBuf.DrainPID(t.PID()))
-		}
-	}
-	for _, t := range u.group.Tasks {
-		dstBuf.Inject(srcBuf.DrainPID(t.PID()))
-	}
-	switch {
-	case u.shared != nil:
-		u.shared.tuner.SetTracer(dstBuf)
-	case len(u.handles) == 1 && u.handles[0].tuner != nil:
-		u.handles[0].tuner.SetTracer(dstBuf)
-	}
+	return s.handleUnit(h)
 }
 
 func (s *System) sharedUnit(g *sharedGroup) *migUnit {
@@ -486,14 +430,6 @@ func (s *System) sharedUnit(g *sharedGroup) *migUnit {
 	for _, h := range g.handles {
 		u.hint += h.hint
 	}
-	tuner := g.tuner
-	u.rehome = func(to int) error {
-		if err := tuner.Rehome(s.machine.Core(to), s.machine.Supervisor(to)); err != nil {
-			return err
-		}
-		tuner.BusTick = s.tickPublisher(to, tuner.Tasks()[0].Name())
-		return nil
-	}
 	return u
 }
 
@@ -507,18 +443,7 @@ func (s *System) handleUnit(h *Handle) *migUnit {
 	}
 	switch {
 	case h.tuner != nil:
-		tuner := h.tuner
-		u.group.Servers = []*sched.Server{tuner.Server()}
-		u.rehome = func(to int) error {
-			if err := tuner.Rehome(s.machine.Core(to), s.machine.Supervisor(to)); err != nil {
-				return err
-			}
-			// The tuner's tick publisher captured the spawn-time core;
-			// re-wire it so TunerTickEvents report where the workload
-			// now runs.
-			tuner.BusTick = s.tickPublisher(to, tuner.Task().Name())
-			return nil
-		}
+		u.group.Servers = []*sched.Server{h.tuner.Server()}
 	default:
 		// Untuned: the workload's own reservations (a started
 		// multi-server load), or its single server or bare task.
@@ -535,6 +460,110 @@ func (s *System) handleUnit(h *Handle) *migUnit {
 		}
 	}
 	return u
+}
+
+// rehome re-registers the unit's tuner, if it has one, with the
+// scheduler and supervisor of core `to` of dst: the arrive step of a
+// move, run once the servers have been adopted there. A supervisor
+// that refuses the tuner's floor fails the move, which then rolls back.
+func (u *migUnit) rehome(dst *System, to int) error {
+	sd, sup := dst.machine.Core(to), dst.machine.Supervisor(to)
+	switch {
+	case u.shared != nil:
+		return u.shared.tuner.Rehome(sd, sup)
+	case u.handles[0].tuner != nil:
+		return u.handles[0].tuner.Rehome(sd, sup)
+	}
+	return nil
+}
+
+// move carries unit u from its core to core `to` of dst — s itself for
+// a cross-core migration, another System resting at the same simulated
+// instant for a live transfer. It is the one move path: Migrate, the
+// balancer's execute and Transfer all call it.
+//
+// smp.Machine.Move admission-checks the destination, moves the
+// reservations with their CBS state, rehomes the tuner on arrival and
+// rolls everything back on any error, so a refused move changes
+// nothing. Past that point nothing can fail, and move carries the
+// unit's lane-bound state:
+//   - when the destination core runs on another engine (a laned
+//     machine, or another machine), each workload's self-timers re-arm
+//     there and its syscall sink repoints at the destination tracer
+//     (workload.LaneMover), and its request publisher follows;
+//   - when the destination core records into another tracer, the
+//     tasks' undownloaded syscall evidence moves between the buffers,
+//     so the period analyser loses nothing across the move;
+//   - the tuner downloads from the destination tracer and publishes
+//     its ticks as the destination core from now on.
+//
+// A move to another System re-registers the handle there; a move
+// within s updates the unit's core and publishes a MigrationEvent
+// carrying reason.
+func (s *System) move(u *migUnit, dst *System, to int, reason string) error {
+	from := u.core
+	if err := s.machine.Move(u.group, from, dst.machine, to, u.hint,
+		func() error { return u.rehome(dst, to) }); err != nil {
+		return err
+	}
+	dstBuf := dst.tracerFor(to)
+	if dstEng := dst.engineFor(to); dstEng != s.engineFor(from) {
+		for _, h := range u.handles {
+			if lm, ok := h.w.(workload.LaneMover); ok {
+				lm.MoveLane(dstEng, dstBuf)
+			}
+			h.ctx.core = to
+		}
+	}
+	if srcBuf := s.tracerFor(from); srcBuf != dstBuf {
+		for _, srv := range u.group.Servers {
+			for _, t := range srv.Tasks() {
+				dstBuf.Inject(srcBuf.DrainPID(t.PID()))
+			}
+		}
+		for _, t := range u.group.Tasks {
+			dstBuf.Inject(srcBuf.DrainPID(t.PID()))
+		}
+	}
+	switch {
+	case u.shared != nil:
+		u.shared.tuner.SetTracer(dstBuf)
+		u.shared.tuner.BusTick = dst.tickPublisher(to, u.shared.tuner.Tasks()[0].Name())
+	case u.handles[0].tuner != nil:
+		tuner := u.handles[0].tuner
+		tuner.SetTracer(dstBuf)
+		tuner.BusTick = dst.tickPublisher(to, tuner.Task().Name())
+	}
+
+	u.core = to
+	for _, h := range u.handles {
+		h.core = to
+	}
+	if u.shared != nil {
+		u.shared.core = to
+	}
+	if dst != s {
+		// Re-register the handle: it now belongs to dst, and its
+		// request publisher (reading ctx at publish time) follows it.
+		for _, h := range u.handles {
+			s.unlist(h)
+			dst.handles = append(dst.handles, h)
+			h.sys = dst
+			h.ctx.sys = dst
+		}
+		dst.migrated++
+		return nil
+	}
+	s.migrated++
+	s.publish(Event{
+		Kind:   MigrationEvent,
+		At:     s.clock.Now(),
+		Core:   to,
+		From:   from,
+		Source: u.name,
+		Reason: reason,
+	})
+	return nil
 }
 
 // units enumerates the machine's migration units in spawn order,
@@ -640,11 +669,11 @@ func (s *System) runBalancer(reason string, pendingHint float64) int {
 	return s.execute(units, snap, moves)
 }
 
-// execute performs the planned moves, batched per destination core
-// through the machine's steal path: each batch is one claiming core
-// taking its units in a single tick, each unit admission-checked and
-// all-or-nothing, tuners rehomed on arrival (a rehome rejection rolls
-// that unit back). Invalid moves — out-of-range indices, the unit's
+// execute performs the planned moves, batched per destination core:
+// each batch is one claiming core taking its units in a single tick,
+// each unit admission-checked and all-or-nothing, tuners rehomed on
+// arrival (a move refused on arrival rolls that unit back and the
+// batch goes on). Invalid moves — out-of-range indices, the unit's
 // current core, immigratable units, duplicate units — are skipped.
 // One MigrationBatchEvent per destination summarises each batch.
 func (s *System) execute(units []*migUnit, snap Snapshot, moves []Move) int {
@@ -684,34 +713,25 @@ func (s *System) execute(units []*migUnit, snap Snapshot, moves []Move) int {
 	s.destOrder = destOrder
 	total := 0
 	for _, dest := range destOrder {
-		batch := s.perDest[dest]
-		cands := make([]smp.StealCandidate, len(batch))
-		for i, p := range batch {
-			cands[i] = smp.StealCandidate{Group: p.u.group, From: p.u.core, Hint: p.u.hint}
+		moved, reason := 0, ""
+		for _, p := range s.perDest[dest] {
+			if s.move(p.u, s, dest, p.reason) != nil {
+				continue
+			}
+			if moved == 0 {
+				reason = p.reason
+			}
+			moved++
 		}
-		moved := s.machine.Steal(smp.StealRequest{
-			To:         dest,
-			Candidates: cands,
-			OnMoved: func(i int) error {
-				p := batch[i]
-				if p.u.rehome != nil {
-					if err := p.u.rehome(dest); err != nil {
-						return err
-					}
-				}
-				s.finishMove(p.u, dest, p.reason)
-				return nil
-			},
-		})
-		if len(moved) > 0 {
-			total += len(moved)
+		if moved > 0 {
+			total += moved
 			s.publish(Event{
 				Kind:   MigrationBatchEvent,
 				At:     s.clock.Now(),
 				Core:   dest,
 				From:   -1,
-				Reason: batch[moved[0]].reason,
-				Count:  len(moved),
+				Reason: reason,
+				Count:  moved,
 			})
 		}
 	}
@@ -731,28 +751,6 @@ func (s *System) execute(units []*migUnit, snap Snapshot, moves []Move) int {
 type plannedMove struct {
 	u      *migUnit
 	reason string
-}
-
-// finishMove updates the bookkeeping after a unit's physical move and
-// rehome succeeded, and publishes the MigrationEvent.
-func (s *System) finishMove(u *migUnit, to int, reason string) {
-	from := u.core
-	u.core = to
-	for _, h := range u.handles {
-		h.core = to
-	}
-	if u.shared != nil {
-		u.shared.core = to
-	}
-	s.migrated++
-	s.publish(Event{
-		Kind:   MigrationEvent,
-		At:     s.clock.Now(),
-		Core:   to,
-		From:   from,
-		Source: u.name,
-		Reason: reason,
-	})
 }
 
 // Migratable reports whether the handle can move between cores: it
@@ -787,23 +785,7 @@ func (s *System) Migrate(h *Handle, to int) error {
 		return fmt.Errorf("selftune: workload %q (%s) has nothing to migrate yet (start it first)",
 			h.Name(), h.Kind())
 	}
-	from := u.core
-	if err := s.machine.MigrateGroup(u.group, from, to, u.hint); err != nil {
-		return err
-	}
-	if u.rehome != nil {
-		if err := u.rehome(to); err != nil {
-			// Undo the physical move without re-running admission: the
-			// origin core was legal a moment ago and must take the
-			// reservation back even if its accounts shifted meanwhile.
-			if rb := s.machine.ForceMigrateGroup(u.group, to, from, u.hint); rb != nil {
-				panic(fmt.Sprintf("selftune: migration of %q stranded: %v after %v", h.Name(), rb, err))
-			}
-			return err
-		}
-	}
-	s.finishMove(u, to, "manual")
-	return nil
+	return s.move(u, s, to, "manual")
 }
 
 // Migrations returns the number of units moved across cores so far

@@ -73,7 +73,6 @@ type options struct {
 	detail       int
 	parallel     int // 0 = GOMAXPROCS
 	coreParallel int // 0 = single-engine machines
-	machineBal   func() selftune.Balancer
 	fleetBal     ClusterBalancer
 	fleetEvery   selftune.Duration
 	scaler       *AutoscalerConfig
@@ -183,17 +182,6 @@ func WithDetail(n int) Option {
 			return fmt.Errorf("cluster: WithDetail(%d)", n)
 		}
 		o.detail = n
-		return nil
-	}
-}
-
-// WithMachineBalancer installs a per-machine cross-core balancing
-// policy: the factory runs once per machine (policies keep state).
-// The default leaves machines unbalanced (spawn-time placement), the
-// single-machine default.
-func WithMachineBalancer(factory func() selftune.Balancer) Option {
-	return func(o *options) error {
-		o.machineBal = factory
 		return nil
 	}
 }
@@ -505,9 +493,6 @@ func New(opts ...Option) (*Cluster, error) {
 			mopts = append(mopts, selftune.WithTopology(selftune.UniformTopology(o.cores, o.nodeCores)))
 		case o.nodeCores == 0 && o.cores > smp.DefaultNodeCores && o.cores%smp.DefaultNodeCores == 0:
 			mopts = append(mopts, selftune.WithTopology(selftune.UniformTopology(o.cores, smp.DefaultNodeCores)))
-		}
-		if o.machineBal != nil {
-			mopts = append(mopts, selftune.WithBalancer(o.machineBal()))
 		}
 		sys, err := selftune.NewSystem(mopts...)
 		if err != nil {
@@ -1026,7 +1011,7 @@ func (c *Cluster) rebalance() {
 		})
 	}
 	// One batch record per destination machine, like the machine-level
-	// steal path's per-destination batches. Destinations in index
+	// balancer's per-destination batches. Destinations in index
 	// order for determinism; the batch carries its first move's reason.
 	for dest := 0; dest < len(c.machines); dest++ {
 		if n := perDest[dest]; n > 0 {

@@ -51,12 +51,17 @@ func (s *System) Despawn(h *Handle) error {
 		}
 	}
 	s.machine.Release(h.core, h.hint)
+	s.unlist(h)
+	h.sys = nil
+	return nil
+}
+
+// unlist removes h from the System's handle list, keeping spawn order.
+func (s *System) unlist(h *Handle) {
 	for i, live := range s.handles {
 		if live == h {
 			s.handles = append(s.handles[:i], s.handles[i+1:]...)
-			break
+			return
 		}
 	}
-	h.sys = nil
-	return nil
 }

@@ -36,7 +36,7 @@ const (
 	AdmissionRejectEvent
 	// MigrationBatchEvent fires once per executed balancer batch — a
 	// destination core claiming one or more migration units of a
-	// single plan through the machine's steal path. Every policy's
+	// single plan, one move after the other. Every policy's
 	// moves flow through it: a push policy's batches carry one unit,
 	// the work-stealing policy's carry many. Event.Core is the
 	// claiming core, Event.Count how many units arrived, Event.Reason
@@ -49,7 +49,10 @@ const (
 	// instance, Event.Workload its registry kind, Event.Latency the
 	// completion latency, Event.Deadline the relative deadline (0 =
 	// none) and Event.Missed whether it finished late. Event.Core is the
-	// core the instance was placed on at spawn.
+	// core the instance runs on: a move on a laned machine
+	// (WithCoreParallelism) and a live Transfer update it, while a move
+	// between the cores of a single-engine System keeps reporting the
+	// spawn core.
 	RequestCompleteEvent
 )
 

@@ -137,31 +137,26 @@ func NewSystem(opts ...Option) (*System, error) {
 
 // installExhaustHook points core i's exhaustion bus slot at the
 // observer bus (the user-facing SetExhaustHook slot stays free). The
-// hook is a no-op until someone subscribes. In laned mode the event is
-// staged on the core's own lane — exhaustions fire mid-epoch, while
-// other lanes run concurrently — and delivered at the next fence.
+// hook is a no-op until someone subscribes.
 func (s *System) installExhaustHook(i int) {
-	core := i
+	s.machine.Core(i).SetExhaustBus(func(srv *sched.Server, now Time) {
+		s.emit(i, Event{Kind: BudgetExhaustedEvent, Core: i, Source: srv.Name()})
+	})
+}
+
+// emit delivers an observer event raised on core `core`, stamped with
+// the current instant. On a single-engine System it publishes at once
+// at the observation clock's time. In laned mode the event is raised
+// mid-epoch, while other lanes run concurrently, so it is stamped with
+// the core's lane time and staged there until the next fence.
+func (s *System) emit(core int, e Event) {
 	if s.group != nil {
-		lane := s.lanes[i]
-		s.machine.Core(i).SetExhaustBus(func(srv *sched.Server, now Time) {
-			s.stage(core, Event{
-				Kind:   BudgetExhaustedEvent,
-				At:     lane.Now(),
-				Core:   core,
-				Source: srv.Name(),
-			})
-		})
+		e.At = s.lanes[core].Now()
+		s.stage(core, e)
 		return
 	}
-	s.machine.Core(i).SetExhaustBus(func(srv *sched.Server, now Time) {
-		s.publish(Event{
-			Kind:   BudgetExhaustedEvent,
-			At:     s.clock.Now(),
-			Core:   core,
-			Source: srv.Name(),
-		})
-	})
+	e.At = s.clock.Now()
+	s.publish(e)
 }
 
 // stage appends an observer event to a lane's staging slice. Each lane
@@ -345,36 +340,22 @@ func (s *System) Close() {
 func (s *System) Handles() []*Handle { return s.handles }
 
 // tickPublisher returns the OnTick hook that routes a tuner's
-// activation snapshots onto the observer bus. Tuner ticks run on the
-// core's own lane in laned mode, so the event is staged there and
-// published at the next fence; the balancer rebuilds the hook on
-// migration, so coreIdx is always the tuner's current core.
+// activation snapshots onto the observer bus (see emit). Every move
+// rebuilds the hook, so coreIdx is always the tuner's current core.
 func (s *System) tickPublisher(coreIdx int, source string) func(TunerSnapshot) {
 	return func(snap TunerSnapshot) {
-		e := Event{
-			Kind:     TunerTickEvent,
-			At:       s.clock.Now(),
-			Core:     coreIdx,
-			Source:   source,
-			Snapshot: snap,
-		}
-		if s.group != nil {
-			e.At = s.lanes[coreIdx].Now()
-			s.stage(coreIdx, e)
-			return
-		}
-		s.publish(e)
+		s.emit(coreIdx, Event{Kind: TunerTickEvent, Core: coreIdx, Source: source, Snapshot: snap})
 	}
 }
 
 // spawnCtx tracks where a spawned instance currently runs. Request
 // publishers are buried inside workload configs and cannot be rebuilt
 // on migration, so they read the System and core through this
-// indirection. On a single-engine System the core is never updated —
-// Event.Core keeps its documented spawn-time semantics — while laned
-// migrations update the core, and cross-machine live transfers update
-// the System, so events stage on (and report) the machine and lane
-// actually executing the workload.
+// indirection. A move updates the core only when the instance changes
+// engines (a laned machine's lanes, or another machine), and a live
+// transfer also updates the System, so events stage on (and report)
+// the machine and lane actually executing the workload. A move between
+// the cores of a single-engine System leaves the spawn core in place.
 type spawnCtx struct {
 	sys  *System
 	core int
@@ -389,23 +370,15 @@ type spawnCtx struct {
 // config.
 func (s *System) requestPublisher(ctx *spawnCtx, kind, source string) RequestObserver {
 	return func(r Request) {
-		sys := ctx.sys
-		e := Event{
+		ctx.sys.emit(ctx.core, Event{
 			Kind:     RequestCompleteEvent,
-			At:       sys.clock.Now(),
 			Core:     ctx.core,
 			Source:   source,
 			Workload: kind,
 			Latency:  r.Latency,
 			Deadline: r.Deadline,
 			Missed:   r.Missed,
-		}
-		if sys.group != nil {
-			e.At = sys.lanes[ctx.core].Now()
-			sys.stage(ctx.core, e)
-			return
-		}
-		sys.publish(e)
+		})
 	}
 }
 

@@ -1,14 +1,14 @@
 package selftune
 
-// Cross-machine live migration: the machine-scope migration machinery
-// (sched.Detach/Adopt carrying CBS budget/deadline/throttle state,
-// workload.LaneMover carrying self-timers and syscall sinks,
-// ktrace.Buffer.Inject carrying undownloaded evidence,
-// core.AutoTuner.Rehome carrying the sampling tick and supervisor
-// claim) extended across System boundaries. Transfer moves one spawned
-// workload from this System to another at the same simulated instant,
-// admission-checked and all-or-nothing: on any error the source
-// machine is exactly as it was.
+// Cross-machine live migration: the one move path of the balancer
+// (System.move on smp.Machine.Move — sched.DetachAll/AdoptAll carrying
+// CBS budget/deadline/throttle state, core.AutoTuner.Rehome carrying
+// the sampling tick and supervisor claim, workload.LaneMover carrying
+// self-timers and syscall sinks, ktrace.Buffer.Inject carrying
+// undownloaded evidence) pointed at another System. Transfer moves one
+// spawned workload from this System to another at the same simulated
+// instant, admission-checked and all-or-nothing: on any error both
+// machines are as they were.
 //
 // Both Systems must rest at the same simulated time — in a cluster
 // that is the lockstep control fence, where every machine engine and
@@ -59,10 +59,10 @@ func (h *Handle) LiveMovable() bool {
 // after the move.
 //
 // Placement on dst is worst-fit over the migration charge (the larger
-// of the handle's hint and its reserved bandwidth), admission-checked
-// against the destination supervisors; on any failure — no room,
-// supervisor rejection of the tuner — everything rolls back and the
-// source machine is unchanged. Both Systems must rest at the same
+// of the handle's hint and its reserved bandwidth). The move itself
+// takes the path every cross-core migration takes, so on any failure —
+// no room, supervisor rejection of the tuner — everything rolls back
+// and both machines are unchanged. Both Systems must rest at the same
 // simulated instant; handles in a TuneShared group, workloads without
 // LaneMover and unstarted workloads are not transferable (see
 // LiveMovable) — callers fall back to despawn/respawn for those.
@@ -88,88 +88,16 @@ func (s *System) Transfer(h *Handle, dst *System) (int, error) {
 	if u.group.Empty() {
 		return 0, fmt.Errorf("selftune: Transfer %q: nothing to carry yet (start it first)", h.Name())
 	}
-	srcCore := h.core
 	charge := h.hint
 	if bw := u.group.Bandwidth(); bw > charge {
 		charge = bw
 	}
-	// Worst-fit placement on the destination, charged up front with the
-	// full migration charge so an interleaved admission cannot fill the
-	// just-checked room; the charge shrinks back to the lasting hint
-	// once the unit has arrived.
-	dstCore, err := dst.machine.Place(charge)
+	to, err := dst.machine.Pick(charge)
+	if err == nil {
+		err = s.move(u, dst, to, "")
+	}
 	if err != nil {
 		return 0, fmt.Errorf("selftune: Transfer %q: %w", h.Name(), err)
 	}
-	if err := s.machine.Core(srcCore).DetachAll(u.group); err != nil {
-		dst.machine.Release(dstCore, charge)
-		return 0, fmt.Errorf("selftune: Transfer %q: %w", h.Name(), err)
-	}
-	if err := dst.machine.Core(dstCore).AdoptAll(u.group); err != nil {
-		// Unreachable in practice (the group was just detached, both
-		// machines rest at a fence); put it back rather than strand the
-		// reservations.
-		if rb := s.machine.Core(srcCore).AdoptAll(u.group); rb != nil {
-			panic(fmt.Sprintf("selftune: Transfer stranded %q: %v after %v", h.Name(), rb, err))
-		}
-		dst.machine.Release(dstCore, charge)
-		return 0, fmt.Errorf("selftune: Transfer %q: %w", h.Name(), err)
-	}
-	if h.tuner != nil {
-		// Rehome registers with the destination supervisor before
-		// releasing the source claim, so a rejection here leaves the
-		// tuner intact on the source — undo the physical move and
-		// report. The sampling tick re-arms on the destination engine at
-		// its preserved instant (core.moveTick).
-		if err := h.tuner.Rehome(dst.machine.Core(dstCore), dst.machine.Supervisor(dstCore)); err != nil {
-			if rb := dst.machine.Core(dstCore).DetachAll(u.group); rb != nil {
-				panic(fmt.Sprintf("selftune: Transfer stranded %q: %v after %v", h.Name(), rb, err))
-			}
-			if rb := s.machine.Core(srcCore).AdoptAll(u.group); rb != nil {
-				panic(fmt.Sprintf("selftune: Transfer stranded %q: %v after %v", h.Name(), rb, err))
-			}
-			dst.machine.Release(dstCore, charge)
-			return 0, fmt.Errorf("selftune: Transfer %q: %w", h.Name(), err)
-		}
-	}
-	// Past this point nothing can fail: carry the lane-bound state.
-	// Self-timers re-arm on the destination engine (lane, in laned
-	// mode) and the sink repoints at the destination tracer.
-	h.w.(workload.LaneMover).MoveLane(dst.engineFor(dstCore), dst.tracerFor(dstCore))
-	// Undownloaded syscall evidence follows the tasks between tracers,
-	// so the destination's period analyser loses nothing.
-	srcBuf, dstBuf := s.tracerFor(srcCore), dst.tracerFor(dstCore)
-	if srcBuf != nil && dstBuf != nil {
-		for _, srv := range u.group.Servers {
-			for _, t := range srv.Tasks() {
-				dstBuf.Inject(srcBuf.DrainPID(t.PID()))
-			}
-		}
-		for _, t := range u.group.Tasks {
-			dstBuf.Inject(srcBuf.DrainPID(t.PID()))
-		}
-	}
-	if h.tuner != nil {
-		h.tuner.SetTracer(dstBuf)
-		h.tuner.BusTick = dst.tickPublisher(dstCore, h.tuner.Task().Name())
-	}
-	// Settle the accounts: the lasting hint leaves the source and stays
-	// on the destination; the admission overcharge shrinks back.
-	s.machine.Release(srcCore, h.hint)
-	dst.machine.Release(dstCore, charge-h.hint)
-	// Re-register the handle: it now belongs to dst, and its request
-	// publisher (reading ctx at publish time) follows it there.
-	for i, live := range s.handles {
-		if live == h {
-			s.handles = append(s.handles[:i], s.handles[i+1:]...)
-			break
-		}
-	}
-	dst.handles = append(dst.handles, h)
-	h.sys = dst
-	h.core = dstCore
-	h.ctx.sys = dst
-	h.ctx.core = dstCore
-	dst.migrated++
-	return dstCore, nil
+	return to, nil
 }
